@@ -238,7 +238,6 @@ def _meta_lines(data: Mapping[str, Any]) -> list[str]:
         ("experiment", data.get("experiment_id")),
         ("schema version", data.get("schema_version")),
         ("repro version", data.get("repro_version")),
-        ("engine", metadata.get("engine")),
         ("seed", metadata.get("seed")),
     ):
         if value is not None:

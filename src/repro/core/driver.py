@@ -110,8 +110,8 @@ class ControllerDriver:
         #: driver that never ticks leaves no empty series behind.
         self._total_series = None
         # The tick is a periodic entry in the kernel's unified event
-        # calendar, so the run-to-horizon engine sees the next sample
-        # as an ordinary transition instead of being polled for it.
+        # calendar, so the kernel sees the next sample as an ordinary
+        # transition instead of being polled for it.
         self._periodic: PeriodicEvent = kernel.add_periodic(
             self.period_us, self._tick, start_us=start_us, label="controller"
         )

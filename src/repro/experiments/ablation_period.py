@@ -22,7 +22,7 @@ from typing import Optional
 
 from repro.analysis.results import ExperimentResult
 from repro.core.config import ControllerConfig
-from repro.experiments.params import ENGINE_PARAM, stamp_reproducibility
+from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sim.clock import seconds
 from repro.system import build_real_rate_system
@@ -49,7 +49,6 @@ def _low_rate_params() -> PulseParameters:
               help="virtual seconds simulated per part"),
         Param("seed", kind="int", default=None, help="RNG seed (recorded; "
               "the low-rate pipeline is fully deterministic)"),
-        ENGINE_PARAM,
     ),
     quick={"sim_seconds": 4.0},
 )
@@ -57,14 +56,13 @@ def ablation_period_experiment(
     *,
     sim_seconds: float = 10.0,
     seed: Optional[int] = None,
-    engine: str = "horizon",
     config: Optional[ControllerConfig] = None,
 ) -> ExperimentResult:
     """Exercise period adaptation and enforcement-granularity effects."""
     # --- Part 1: period adaptation on a low-rate consumer -------------
     adapt_config = ControllerConfig(adapt_period=True)
     system = build_real_rate_system(
-        adapt_config, record_dispatches=True, engine=engine
+        adapt_config, record_dispatches=True
     )
     kernels = [system.kernel]
     params = _low_rate_params()
@@ -88,7 +86,6 @@ def ablation_period_experiment(
             config,
             enforce_within_slice=enforce,
             record_dispatches=True,
-            engine=engine,
         )
         kernels.append(sys2.kernel)
         pipe2 = PulsePipeline.attach(

@@ -4,7 +4,7 @@ Three registered scenarios exercise the :mod:`repro.faults` subsystem
 end to end:
 
 * ``cpu_failover`` — a reserved workload loses a CPU mid-run.  The
-  kernel drains the failed CPU through the epoch contract and the
+  kernel drains the failed CPU's pinned threads and the
   :class:`~repro.faults.degradation.DegradationManager` squishes (and,
   when oversubscribed enough, sheds/revokes) to fit the surviving
   capacity, then re-admits with backoff after recovery.
@@ -18,8 +18,7 @@ end to end:
   damage and the recovery.
 
 All faults actuate through the event calendar, so each experiment's
-dispatch fingerprint is bit-identical across ``engine="quantum"`` and
-``engine="horizon"`` — the chaos-smoke CI job asserts exactly that.
+dispatch fingerprint is identical run to run at a fixed seed.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.results import ExperimentResult
-from repro.experiments.params import ENGINE_PARAM, stamp_reproducibility
+from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.faults.degradation import DegradationManager
 from repro.faults.injector import FaultInjector
@@ -88,7 +87,6 @@ def _conservation_ok(kernel: Kernel) -> bool:
         Param("n_best_effort", kind="int", default=2, minimum=0),
         Param("duration_s", kind="float", default=1.0, minimum=0.05),
         Param("seed", kind="int", default=17),
-        ENGINE_PARAM,
     ),
     quick={"duration_s": 0.4, "fail_at_s": 0.1, "outage_s": 0.15},
 )
@@ -103,7 +101,6 @@ def cpu_failover_experiment(
     n_best_effort: int = 2,
     duration_s: float = 1.0,
     seed: Optional[int] = 17,
-    engine: str = "horizon",
 ) -> ExperimentResult:
     """Does the system degrade gracefully when a CPU dies under load?
 
@@ -116,7 +113,7 @@ def cpu_failover_experiment(
     fail_cpu = min(fail_cpu, n_cpus - 1)
     scheduler = ReservationScheduler()
     kernel = Kernel(
-        scheduler, n_cpus=n_cpus, engine=engine, record_dispatches=True
+        scheduler, n_cpus=n_cpus, record_dispatches=True
     )
     reserved: list[SimThread] = []
     for index in range(n_reserved):
@@ -207,11 +204,10 @@ def _run_runaway_pass(
     runaway_for_us: int,
     duration_us: int,
     seed: int,
-    engine: str,
 ) -> tuple[Kernel, ReservationScheduler, Optional[Watchdog], FaultInjector]:
     scheduler = ReservationScheduler()
     kernel = Kernel(
-        scheduler, n_cpus=n_cpus, engine=engine, record_dispatches=True
+        scheduler, n_cpus=n_cpus, record_dispatches=True
     )
     for index in range(n_reserved):
         thread = kernel.spawn(
@@ -248,7 +244,6 @@ def _run_runaway_pass(
         Param("runaway_for_s", kind="float", default=0.4, minimum=0.01),
         Param("duration_s", kind="float", default=0.8, minimum=0.05),
         Param("seed", kind="int", default=23),
-        ENGINE_PARAM,
     ),
     quick={"duration_s": 0.5, "runaway_for_s": 0.25},
 )
@@ -261,7 +256,6 @@ def runaway_quarantine_experiment(
     runaway_for_s: float = 0.4,
     duration_s: float = 0.8,
     seed: Optional[int] = 23,
-    engine: str = "horizon",
 ) -> ExperimentResult:
     """What does quarantine buy the well-behaved reservations?
 
@@ -281,7 +275,6 @@ def runaway_quarantine_experiment(
         runaway_for_us=int(runaway_for_s * 1_000_000),
         duration_us=int(duration_s * 1_000_000),
         seed=seed or 0,
-        engine=engine,
     )
     kernel_on, sched_on, watchdog, _ = _run_runaway_pass(
         with_watchdog=True, **kwargs
@@ -349,9 +342,8 @@ def _run_pipeline_pass(
     corrupt_magnitude: float,
     duration_us: int,
     seed: int,
-    engine: str,
 ):
-    system = build_real_rate_system(engine=engine, record_dispatches=True)
+    system = build_real_rate_system(record_dispatches=True)
     pipeline = MultimediaPipeline.attach(system)
     injector = None
     if faulted:
@@ -392,7 +384,6 @@ def _run_pipeline_pass(
               help="uniform noise amplitude added to the raw pressure signal"),
         Param("duration_s", kind="float", default=1.5, minimum=0.05),
         Param("seed", kind="int", default=31),
-        ENGINE_PARAM,
     ),
     quick={
         "duration_s": 0.6,
@@ -411,7 +402,6 @@ def sensor_dropout_experiment(
     corrupt_magnitude: float = 1.5,
     duration_s: float = 1.5,
     seed: Optional[int] = 31,
-    engine: str = "horizon",
 ) -> ExperimentResult:
     """How much does the pipeline lose when the decoder's sensor lies?
 
@@ -430,7 +420,6 @@ def sensor_dropout_experiment(
         corrupt_magnitude=corrupt_magnitude,
         duration_us=int(duration_s * 1_000_000),
         seed=seed or 0,
-        engine=engine,
     )
     clean_system, clean_pipeline, _ = _run_pipeline_pass(faulted=False, **kwargs)
     hurt_system, hurt_pipeline, injector = _run_pipeline_pass(

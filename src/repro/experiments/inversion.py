@@ -24,7 +24,7 @@ from typing import Optional
 
 from repro.analysis.results import ExperimentResult
 from repro.core.config import ControllerConfig
-from repro.experiments.params import ENGINE_PARAM, stamp_reproducibility
+from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sched.priority import FixedPriorityScheduler
 from repro.sim.clock import seconds
@@ -34,14 +34,13 @@ from repro.workloads.inversion import InversionScenario
 
 
 def _run_priority(
-    sim_seconds: float, inheritance: bool, engine: str
+    sim_seconds: float, inheritance: bool
 ) -> tuple[InversionScenario, Kernel]:
     scheduler = FixedPriorityScheduler(priority_inheritance=inheritance)
     kernel = Kernel(
         scheduler,
         charge_dispatch_overhead=False,
         record_dispatches=True,
-        engine=engine,
     )
     scenario = InversionScenario().attach_priority(kernel)
     kernel.run_for(seconds(sim_seconds))
@@ -49,10 +48,10 @@ def _run_priority(
 
 
 def _run_real_rate(
-    sim_seconds: float, config: Optional[ControllerConfig], engine: str
+    sim_seconds: float, config: Optional[ControllerConfig]
 ) -> tuple[InversionScenario, Kernel]:
     system = build_real_rate_system(
-        config, record_dispatches=True, engine=engine
+        config, record_dispatches=True
     )
     scenario = InversionScenario().attach_real_rate(system)
     system.run_for(seconds(sim_seconds))
@@ -68,7 +67,6 @@ def _run_real_rate(
               help="virtual seconds simulated per scheduler"),
         Param("seed", kind="int", default=None, help="RNG seed (recorded; "
               "the inversion scenario is fully deterministic)"),
-        ENGINE_PARAM,
     ),
     quick={"sim_seconds": 4.0},
 )
@@ -76,13 +74,12 @@ def inversion_experiment(
     *,
     sim_seconds: float = 10.0,
     seed: Optional[int] = None,
-    engine: str = "horizon",
     config: Optional[ControllerConfig] = None,
 ) -> ExperimentResult:
     """Compare the inversion scenario across the three schedulers."""
-    no_pi, kernel_a = _run_priority(sim_seconds, inheritance=False, engine=engine)
-    with_pi, kernel_b = _run_priority(sim_seconds, inheritance=True, engine=engine)
-    real_rate, kernel_c = _run_real_rate(sim_seconds, config, engine)
+    no_pi, kernel_a = _run_priority(sim_seconds, inheritance=False)
+    with_pi, kernel_b = _run_priority(sim_seconds, inheritance=True)
+    real_rate, kernel_c = _run_real_rate(sim_seconds, config)
     now_a, now_b, now_c = kernel_a.now, kernel_b.now, kernel_c.now
 
     result = ExperimentResult(

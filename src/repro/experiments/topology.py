@@ -21,9 +21,8 @@ Both passes report deadline misses, migration counts and the virtual
 microseconds charged to migrations; the reproduced claim is that
 topology-aware placement cuts migrations (and the stolen time they
 cost) without giving up the reservation guarantees.  Mid-run re-pin
-events exercise the epoch contract under both engines, and the
-dispatch fingerprint is stamped so the engine-equivalence matrix can
-assert ``quantum`` and ``horizon`` agree bit-for-bit.
+events exercise live affinity changes, and the dispatch fingerprint is
+stamped so reruns can be diffed bit-for-bit.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import random
 from typing import Optional
 
 from repro.analysis.results import ExperimentResult
-from repro.experiments.params import ENGINE_PARAM, stamp_reproducibility
+from repro.experiments.params import stamp_reproducibility
 from repro.experiments.registry import Param, experiment
 from repro.sched.placement import (
     CacheWarmPlacement,
@@ -54,7 +53,7 @@ def _jittered_worker(compute_us: int, sleep_us: int, jitter: tuple[int, ...]):
     """A periodic thread whose think time cycles a pre-seeded jitter.
 
     The jitter tuple is drawn once, outside the kernel, from the
-    experiment seed — both passes (and both engines) replay the exact
+    experiment seed — both passes replay the exact
     same sequence, so every behavioural difference is the placement
     policy's.
     """
@@ -79,7 +78,6 @@ def _run_pass(
     n_best_effort: int,
     duration_us: int,
     seed: int,
-    engine: str,
 ) -> tuple[Kernel, ReservationScheduler]:
     scheduler = ReservationScheduler()
     scheduler.placement = placement
@@ -87,7 +85,6 @@ def _run_pass(
         scheduler,
         n_cpus=topology.n_cpus,
         topology=topology,
-        engine=engine,
         record_dispatches=True,
     )
     rng = random.Random(seed)
@@ -110,10 +107,9 @@ def _run_pass(
             f"be.{index}",
             _jittered_worker(compute_us=1_200, sleep_us=600, jitter=jitter),
         )
-    # Mid-run re-pins stress the epoch contract (affinity changes bump
-    # the scheduler epoch, invalidating cached placements and horizon
-    # batches on both engines) and force at least one migration per
-    # pass, so the counters are exercised even by the aware policy.
+    # Mid-run re-pins exercise live affinity changes and force at
+    # least one migration per pass, so the counters are exercised even
+    # by the aware policy.
     victim = pinned[0]
     last_cpu = topology.n_cpus - 1
     kernel.events.schedule(
@@ -161,7 +157,6 @@ def _conservation_ok(kernel: Kernel) -> bool:
         Param("n_best_effort", kind="int", default=2, minimum=0),
         Param("duration_s", kind="float", default=1.0, minimum=0.05),
         Param("seed", kind="int", default=41),
-        ENGINE_PARAM,
     ),
     quick={"duration_s": 0.4},
 )
@@ -178,7 +173,6 @@ def topology_placement_experiment(
     n_best_effort: int = 2,
     duration_s: float = 1.0,
     seed: Optional[int] = 41,
-    engine: str = "horizon",
 ) -> ExperimentResult:
     """Does topology awareness cut migration cost without hurting deadlines?
 
@@ -211,7 +205,6 @@ def topology_placement_experiment(
         n_best_effort=n_best_effort,
         duration_us=int(duration_s * 1_000_000),
         seed=seed or 0,
-        engine=engine,
     )
     flat_kernel, flat_sched = _run_pass(
         placement=LeastLoadedPlacement(), **kwargs

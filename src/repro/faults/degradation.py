@@ -25,9 +25,8 @@ a doubled (capped) backoff, so capacity flapping cannot thrash the
 admission state.
 
 All actuation happens from capacity listeners and calendar events —
-never mid-dispatch — so both engines see identical sequences and the
-epoch contract (`set_reservation`/`clear_reservation` bump the
-scheduler's state epoch) keeps horizon batches honest.
+never mid-dispatch — so every run at a fixed seed sees the identical
+sequence of reservation changes.
 """
 
 from __future__ import annotations

@@ -2,11 +2,9 @@
 
 Every fault actuates through the :class:`~repro.sim.events.EventCalendar`
 — the same mechanism the workload engine uses for arrivals and phase
-scripts — because calendar events are the one place both execution
-engines (``quantum`` and ``horizon``) are guaranteed to observe at
-identical virtual times: batches break whenever an event comes due, so
-a CPU failing at t=50ms lands between the same two dispatches no matter
-which engine runs the simulation.
+scripts — because calendar events fire only between dispatches, at
+exact virtual times: a CPU failing at t=50ms lands between the same two
+dispatches on every run.
 
 Three fault families:
 

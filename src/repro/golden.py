@@ -1,8 +1,7 @@
 """Golden-trace conformance corpus.
 
 A *golden trace* pins the exact dispatch behaviour of a small but
-eventful scenario for **every scheduler policy x both kernel engines x
-1 and 4 CPUs**.  Each committed corpus file holds one fingerprint per
+eventful scenario for **every scheduler policy x 1 and 4 CPUs**.  Each committed corpus file holds one fingerprint per
 combination; ``tests/test_golden.py`` re-runs each combination and
 diffs the fresh fingerprint against the corpus, so any change that
 moves a single dispatch-log entry anywhere in the matrix fails loudly
@@ -95,8 +94,7 @@ GOLDEN_SCHEDULERS: dict[str, Callable[[], Scheduler]] = {
     "goodness": LinuxGoodnessScheduler,
 }
 
-#: Kernel engines and CPU counts in the matrix.
-GOLDEN_ENGINES = ("quantum", "horizon")
+#: CPU counts in the matrix.
 GOLDEN_CPU_COUNTS = (1, 4)
 
 
@@ -151,7 +149,7 @@ def _attach_churn_recipe(kernel: Kernel, n_cpus: int) -> WorkloadEngine:
 
 
 def build_golden(
-    scheduler: str, engine: str, n_cpus: int
+    scheduler: str, n_cpus: int
 ) -> tuple[Kernel, WorkloadEngine]:
     """Assemble (but do not run) one golden churn-scenario kernel.
 
@@ -164,13 +162,12 @@ def build_golden(
     are varied so every baseline policy has something to order by.
     """
     factory = _scheduler_factory(scheduler)
-    kernel = Kernel(factory(), n_cpus=n_cpus, record_dispatches=True,
-                    engine=engine)
+    kernel = Kernel(factory(), n_cpus=n_cpus, record_dispatches=True)
     return kernel, _attach_churn_recipe(kernel, n_cpus)
 
 
 def build_topology_golden(
-    scheduler: str, engine: str, n_cpus: int
+    scheduler: str, n_cpus: int
 ) -> tuple[Kernel, WorkloadEngine]:
     """Assemble one golden cell of the topology-placement scenario.
 
@@ -179,7 +176,7 @@ def build_topology_golden(
     sockets of one two-way-SMT core — on the 4-CPU cells, trivial
     ``1x1x1`` on the 1-CPU cells) and the cache-warm placement policy,
     pinning migration-penalty charging and topology-aware placement
-    across every scheduler x engine x CPU-count combination.
+    across every scheduler x CPU-count combination.
     """
     factory = _scheduler_factory(scheduler)
     if n_cpus == 1:
@@ -196,12 +193,12 @@ def build_topology_golden(
     sched_obj = factory()
     sched_obj.placement = CacheWarmPlacement(topology)
     kernel = Kernel(sched_obj, n_cpus=n_cpus, topology=topology,
-                    record_dispatches=True, engine=engine)
+                    record_dispatches=True)
     return kernel, _attach_churn_recipe(kernel, n_cpus)
 
 
 def build_fault_golden(
-    scheduler: str, engine: str, n_cpus: int
+    scheduler: str, n_cpus: int
 ) -> tuple[Kernel, WorkloadEngine]:
     """Assemble (but do not run) one golden fault-scenario kernel.
 
@@ -217,8 +214,7 @@ def build_fault_golden(
     reservation-side machinery.
     """
     factory = _scheduler_factory(scheduler)
-    kernel = Kernel(factory(), n_cpus=n_cpus, record_dispatches=True,
-                    engine=engine)
+    kernel = Kernel(factory(), n_cpus=n_cpus, record_dispatches=True)
     churn = WorkloadEngine(kernel)
     # Reservations sized so the 4-CPU cells exceed the 3-CPU budget
     # after the failure (4 x 900 + 150 = 3750 > 3000) while the 1-CPU
@@ -275,7 +271,7 @@ class GoldenScenario:
     """One pinned scenario: its builder, duration and corpus home."""
 
     name: str
-    builder: Callable[[str, str, int], tuple[Kernel, WorkloadEngine]]
+    builder: Callable[[str, int], tuple[Kernel, WorkloadEngine]]
     duration_us: int
     corpus_path: str
     description: str
@@ -324,26 +320,25 @@ def scenario_spec(scenario: str) -> GoldenScenario:
     return spec
 
 
-def entry_key(scheduler: str, engine: str, n_cpus: int) -> str:
+def entry_key(scheduler: str, n_cpus: int) -> str:
     """Corpus key for one matrix cell."""
-    return f"{scheduler}/{engine}/cpu{n_cpus}"
+    return f"{scheduler}/cpu{n_cpus}"
 
 
-def iter_matrix() -> Iterator[tuple[str, str, int]]:
-    """All (scheduler, engine, n_cpus) combinations in corpus order."""
+def iter_matrix() -> Iterator[tuple[str, int]]:
+    """All (scheduler, n_cpus) combinations in corpus order."""
     for scheduler in GOLDEN_SCHEDULERS:
-        for engine in GOLDEN_ENGINES:
-            for n_cpus in GOLDEN_CPU_COUNTS:
-                yield scheduler, engine, n_cpus
+        for n_cpus in GOLDEN_CPU_COUNTS:
+            yield scheduler, n_cpus
 
 
 def run_golden(
-    scheduler: str, engine: str, n_cpus: int,
+    scheduler: str, n_cpus: int,
     scenario: str = GOLDEN_SCENARIO,
 ) -> dict:
     """Run one matrix cell of ``scenario``; returns its corpus entry."""
     spec = scenario_spec(scenario)
-    kernel, churn = spec.builder(scheduler, engine, n_cpus)
+    kernel, churn = spec.builder(scheduler, n_cpus)
     kernel.run_for(spec.duration_us)
     return {
         "dispatch_sha256": dispatch_fingerprint(kernel),
@@ -392,15 +387,15 @@ def write_corpus(path: str, scenario: str = GOLDEN_SCENARIO) -> dict:
 
 
 def verify_cell(
-    corpus: dict, scheduler: str, engine: str, n_cpus: int
+    corpus: dict, scheduler: str, n_cpus: int
 ) -> Optional[str]:
     """Diff one fresh cell against the corpus; ``None`` when it conforms."""
     scenario = corpus.get("scenario", GOLDEN_SCENARIO)
-    key = entry_key(scheduler, engine, n_cpus)
+    key = entry_key(scheduler, n_cpus)
     expected = corpus.get("entries", {}).get(key)
     if expected is None:
         return f"{key}: missing from corpus (run `python -m repro golden --regen`)"
-    fresh = run_golden(scheduler, engine, n_cpus, scenario)
+    fresh = run_golden(scheduler, n_cpus, scenario)
     if fresh != expected:
         detail = ", ".join(
             f"{field}: {expected.get(field)!r} -> {fresh.get(field)!r}"
@@ -435,7 +430,6 @@ __all__ = [
     "FAULT_CORPUS_PATH",
     "GOLDEN_CPU_COUNTS",
     "GOLDEN_DURATION_US",
-    "GOLDEN_ENGINES",
     "GOLDEN_FAULT_DURATION_US",
     "GOLDEN_SCENARIO",
     "GOLDEN_SCENARIOS",

@@ -26,22 +26,6 @@ class LotteryScheduler(Scheduler):
 
     SCHED_KEY = "lottery"
 
-    #: The RNG stream position and draw counter are pick-relevant:
-    #: every draw changes which thread the next lottery selects.
-    PICK_RELEVANT_STATE = frozenset({"_rng", "draws"})
-
-    EPOCH_EXEMPT = {
-        "pick_next": (
-            "each pick consumes one draw by design; batching is gated "
-            "by preemption_horizon (single entrant only) and skipped "
-            "draws are replayed in note_batched_picks"
-        ),
-        "note_batched_picks": (
-            "replays exactly the single-entrant draws the skipped picks "
-            "would have consumed, keeping the RNG stream bit-identical"
-        ),
-    }
-
     def __init__(self, seed: int = 0, slice_us: Optional[int] = None) -> None:
         super().__init__()
         self._rng = random.Random(seed)
@@ -55,9 +39,6 @@ class LotteryScheduler(Scheduler):
                 f"ticket count must be positive, got {tickets} for "
                 f"{thread.name!r}"
             )
-        # Ticket counts feed the draw weights, so a change invalidates
-        # any in-flight run-to-horizon batch.
-        self.state_epoch += 1
         thread.tickets = int(tickets)
 
     def pick_next(self, now: int, cpu: Optional[int] = None) -> Optional[SimThread]:
@@ -75,34 +56,6 @@ class LotteryScheduler(Scheduler):
             if winner_ticket < upto:
                 return thread
         return runnable[-1]  # pragma: no cover - defensive, unreachable
-
-    def preemption_horizon(
-        self, now: int, thread: SimThread, cpu: Optional[int] = None
-    ) -> Optional[int]:
-        """Batchable only when the lottery has a single entrant.
-
-        With one candidate the winner is forced, but each pick still
-        consumes one draw from the seeded RNG; those draws are replayed
-        in :meth:`note_batched_picks` so the random stream (and with it
-        every later multi-way draw) stays bit-identical to the
-        quantum-sliced engine.  Per-CPU picks are never batched.
-        """
-        if cpu is not None:
-            return now
-        candidates = self.dispatch_candidates(cpu)
-        if len(candidates) == 1 and candidates[0] is thread:
-            return None
-        return now
-
-    def note_batched_picks(self, thread: SimThread, skipped: int, now: int) -> None:
-        # Replay the skipped single-entrant draws: same weight list the
-        # pick would have built, so the RNG advances identically.
-        tickets = thread.tickets
-        weight = tickets if tickets > 1 else 1
-        rng = self._rng
-        for _ in range(skipped):
-            rng.randrange(weight)
-        self.draws += skipped
 
     def time_slice(self, thread: SimThread, now: int) -> int:
         if self._slice_us is not None:

@@ -177,63 +177,6 @@ class ReservationScheduler(Scheduler):
 
     SCHED_KEY = "rbs"
 
-    #: Everything a pick reads (see the epoch-contract checker): the
-    #: two heaps, the deferred-examination queue and its membership
-    #: set, the best-effort map and cursor, the stray/unmarked demand
-    #: sets, the reservation mirror, and the running aggregates.
-    PICK_RELEVANT_STATE = frozenset(
-        {
-            "_reservations",
-            "_rm_heap",
-            "_replenish",
-            "_pending",
-            "_pending_set",
-            "_best_effort",
-            "_best_effort_cursor",
-            "_wanted_stray",
-            "_unmarked",
-            "_reserved_ppt_total",
-            "_deadline_miss_total",
-        }
-    )
-
-    EPOCH_EXEMPT = {
-        "on_remove": (
-            "only reached from remove_thread, which bumps the epoch "
-            "before delegating to this hook"
-        ),
-        "_advance": (
-            "pick/refresh-time period roll, a pure function of virtual "
-            "time; its realisation instants are bounded by "
-            "preemption_horizon, so no batch can span one"
-        ),
-        "_classify": (
-            "pick-time reclassification of a deferred thread; runs only "
-            "from real picks/refresh (preemption_horizon returns now "
-            "while work is deferred), never inside a batch"
-        ),
-        "_service_queues": (
-            "pick/refresh-time queue service; deferred work disables "
-            "batching via preemption_horizon, so no in-flight batch can "
-            "observe these mutations"
-        ),
-        "_rebuild_best_effort": (
-            "content-preserving rebuild of the best-effort map in "
-            "registration order; every caller that changes membership "
-            "bumps the epoch itself"
-        ),
-        "pick_next": (
-            "pick-time mutations (fairness cursor, time-driven service); "
-            "batched picks replay the cursor via note_batched_picks and "
-            "are bounded by preemption_horizon"
-        ),
-        "note_batched_picks": (
-            "replays exactly the cursor mutations the skipped picks "
-            "would have made — the mechanism that keeps batching "
-            "bit-identical, not a bypass of it"
-        ),
-    }
-
     def __init__(
         self,
         *,
@@ -333,11 +276,6 @@ class ReservationScheduler(Scheduler):
                 f"period must be positive, got {period_us}us"
             )
         self._reserved_ppt_total += proportion_ppt - current.proportion_ppt
-        # Any proportion change alters the placement weight (and may
-        # re-key the ready heap), so in-flight batches and cached
-        # placements must be invalidated even when the queue entries
-        # themselves stand.
-        self.state_epoch += 1
         current.proportion_ppt = proportion_ppt
         if period_us != current.period_us:
             if now is None:
@@ -360,7 +298,6 @@ class ReservationScheduler(Scheduler):
         tid = thread.tid
         reservation = self._reservations.pop(tid, None)
         if reservation is not None:
-            self.state_epoch += 1
             self._reserved_ppt_total -= reservation.proportion_ppt
             self._deadline_miss_total -= reservation.deadline_misses
             self._rm_heap.discard(tid)
@@ -413,7 +350,6 @@ class ReservationScheduler(Scheduler):
         """Invalidate ``thread``'s queue entries and defer its
         reclassification to the next pick (where ``now`` is known)."""
         tid = thread.tid
-        self.state_epoch += 1
         self._rm_heap.discard(tid)
         self._replenish.discard(tid)
         if tid not in self._pending_set:
@@ -447,9 +383,6 @@ class ReservationScheduler(Scheduler):
         )
         if tid in self._rm_heap:
             if not exhausted:
-                # The rate-monotonic key changed: invalidate any
-                # in-flight run-to-horizon batch.
-                self.state_epoch += 1
                 self._rm_heap.push(
                     tid,
                     (reservation.period_us, -reservation.proportion_ppt, tid),
@@ -796,75 +729,6 @@ class ReservationScheduler(Scheduler):
         if self.enforce_within_slice:
             slice_us = min(slice_us, max(1, reservation.remaining_us))
         return slice_us
-
-    def preemption_horizon(
-        self, now: int, thread: SimThread, cpu: Optional[int] = None
-    ) -> Optional[int]:
-        """Time-driven bound on batching dispatches of ``thread``.
-
-        Everything *state*-driven (wake-ups, budget exhaustion via
-        :meth:`charge`, controller actuation) bumps the state epoch and
-        is handled by the kernel; what remains are the pick-time side
-        effects that are pure functions of virtual time, each of which
-        first becomes non-trivial at a known instant:
-
-        * a throttled runnable reservation replenishes — the
-          replenishment heap's minimum;
-        * the picked thread's own period window rolls at the pick —
-          its ``period_end()`` (``advance_to`` is a no-op strictly
-          before it);
-        * a stray recorded unmet demand turns into a deadline miss —
-          that reservation's ``period_end()``.
-
-        A best-effort pick is additionally only batchable when it was
-        forced: no live rate-monotonic entries and a single
-        dispatchable best-effort candidate, since the fairness cursor
-        rotates multi-candidate picks.  Deferred examinations
-        (``pending``/``unmarked``) are serviced by real picks only, so
-        their presence disables batching outright.
-        """
-        if self._pending_set or self._unmarked:
-            return now
-        horizon: Optional[int] = None
-        entry = self._replenish.peek()
-        if entry is not None:
-            horizon = entry[0]
-        if self._wanted_stray:
-            # repro-lint: disable=determinism -- min-fold over period ends; the minimum is independent of visitation order
-            for tid in self._wanted_stray:
-                stray = self._reservations.get(tid)
-                if stray is None:
-                    continue
-                end = stray.period_end()
-                if horizon is None or end < horizon:
-                    horizon = end
-        reservation = self._reservations.get(thread.tid)
-        if reservation is not None:
-            end = reservation.period_end()
-            if horizon is None or end < horizon:
-                horizon = end
-            return horizon
-        if cpu is not None:
-            # Per-CPU best-effort picks depend on the shared cursor and
-            # the claims of lower-numbered CPUs; never batch them.
-            return now
-        if len(self._rm_heap):
-            return now
-        candidates = 0
-        for t in self._best_effort.values():
-            if t.state.is_runnable:
-                candidates += 1
-                if candidates > 1 or t is not thread:
-                    return now
-        if candidates != 1:
-            return now
-        return horizon
-
-    def note_batched_picks(self, thread: SimThread, skipped: int, now: int) -> None:
-        if thread.tid not in self._reservations:
-            # Each skipped best-effort pick saw the same single-entry
-            # candidate list and advanced the fairness cursor by one.
-            self._best_effort_cursor += skipped
 
     def next_wakeup(self, now: int) -> Optional[int]:
         earliest: Optional[int] = None

@@ -48,31 +48,6 @@ are expressed in CPU-microseconds, so the conservation identity
 for every CPU count (``offline`` is zero unless :meth:`Kernel.fail_cpu`
 took a CPU down — failed CPUs accrue ``offline_us`` instead of idle
 time, see the CPU-hotplug section below).
-
-Run-to-horizon engine
----------------------
-Most quanta are boring: the same thread keeps computing, no event is
-due, and the scheduler would re-pick it with no side effects.  With
-``engine="horizon"`` (the default) the kernel proves that cheaply and
-skips the event poll, the pick and (on SMP) the placement round for
-such quanta, re-entering the full machinery only at a *transition*:
-
-* the unified :class:`~repro.sim.events.EventCalendar` says an event
-  (timer, controller tick, workload arrival, sleep/I/O wake-up) or a
-  lazily-merged scheduler wake-up (reservation replenishment) is due;
-* the scheduler's :attr:`~repro.sched.base.Scheduler.state_epoch`
-  moved (a wake, block, exit, actuation or budget exhaustion);
-* the scheduler's declared
-  :meth:`~repro.sched.base.Scheduler.preemption_horizon` is reached (a
-  pick-time side effect such as a period-window roll becomes due);
-* the dispatch ended any way other than slice expiry.
-
-Every quantum still charges the same accounting (dispatch counts,
-overhead accumulators, per-quantum ``Scheduler.charge`` calls, dispatch
-log entries) at the same virtual times, so dispatch logs, trace
-fingerprints, deadline misses and the conservation identity are
-bit-identical to ``engine="quantum"`` — the original quantum-sliced
-loop, kept as the differential-testing oracle.
 """
 
 from __future__ import annotations
@@ -139,10 +114,9 @@ class Kernel:
         ``n_cpus`` must match it.  Every dispatch of a thread whose
         previous dispatch ran on a different CPU then charges the
         topology's migration penalty as stolen time (visible in the
-        dispatch log as a sixth tuple element, so both engines stay
-        bit-identical); a ``None`` topology — or one with all-zero
-        penalties — charges nothing and leaves the dispatch log in its
-        historical 5-tuple form.  Migration *counts* are tracked on
+        dispatch log as a sixth tuple element); a ``None`` topology —
+        or one with all-zero penalties — charges nothing and leaves the
+        dispatch log in its historical 5-tuple form.  Migration *counts* are tracked on
         every multiprocessor kernel regardless.
     cpu:
         CPU cost model; controls the per-dispatch overhead charged as
@@ -171,17 +145,7 @@ class Kernel:
         used by the determinism regression tests.  A dispatch that
         charged a migration penalty appends the penalty as a sixth
         element, making the cost part of the log's identity.
-    engine:
-        ``"horizon"`` (default) runs the run-to-horizon engine, which
-        batches provably-identical quanta between transitions;
-        ``"quantum"`` runs the original quantum-sliced loop.  The two
-        are bit-identical in every observable (dispatch logs, traces,
-        accounting); ``"quantum"`` is kept as the oracle for the
-        differential test suite.
     """
-
-    #: Engines accepted by the ``engine`` parameter.
-    ENGINES = ("horizon", "quantum")
 
     def __init__(
         self,
@@ -196,7 +160,6 @@ class Kernel:
         deadlock_detection: bool = True,
         syscall_cost_us: int = 1,
         record_dispatches: bool = False,
-        engine: str = "horizon",
     ) -> None:
         if dispatch_interval_us <= 0:
             raise ValueError(
@@ -212,12 +175,6 @@ class Kernel:
                     f"topology {topology.spec()} has {topology.n_cpus} "
                     f"CPU(s) but the kernel was given n_cpus={n_cpus}"
                 )
-        if engine not in self.ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {self.ENGINES}"
-            )
-        self.engine = engine
-        self._batch_dispatches = engine == "horizon"
         self.clock = SimClock()
         #: The unified event calendar: one lazy min-heap for timers,
         #: controller ticks, wake-ups and workload arrivals, with the
@@ -271,9 +228,6 @@ class Kernel:
         #: Threads forcibly re-pinned off a failed CPU, with the online
         #: CPU they were parked on, so recovery can restore their pins.
         self._displaced_pins: dict[int, list[tuple[SimThread, int]]] = {}
-        #: Scheduler epoch at which the last placement round ran (the
-        #: horizon engine skips provably-identical recomputations).
-        self._placement_epoch: Optional[int] = None
         self.stolen_controller_us = 0
         #: Entries are ``(time, cpu, name, outcome, consumed)``; a
         #: dispatch that charged a migration penalty appends it as a
@@ -310,8 +264,8 @@ class Kernel:
         scheduler.attach(self)
         # Merge the scheduler's derived wake-up times (reservation
         # replenishments) into the calendar; ``next_transition`` then
-        # answers "when can the dispatch decision next change?" from
-        # one place for both the idle fast-forward and the batcher.
+        # answers "when can the dispatch decision next change?" for the
+        # idle fast-forward from one place.
         self.events.add_source(scheduler.next_wakeup)
         # Skip the per-dispatch on_dispatch call for policies that keep
         # the base class's no-op hook (resolved once at attach time).
@@ -465,9 +419,7 @@ class Kernel:
         (its sleep/I/O wake-up event is cancelled; it is removed from
         channel and mutex waiter queues, re-servicing the queue so a
         smaller waiter behind it may proceed), marked ``EXITED`` and
-        removed from the scheduler — which bumps the scheduler's state
-        epoch, so an in-flight run-to-horizon batch provably cannot
-        span the kill.
+        removed from the scheduler.
 
         Returns ``True`` if the thread was killed, ``False`` if it had
         already exited (a script killing a job that just completed is
@@ -479,17 +431,6 @@ class Kernel:
         that *owns* a mutex must release it before being killed; the
         kernel cannot see ownership from the thread side, so killing an
         owner leaves the mutex held forever.
-
-        Horizon-batch interaction (audited): a calendar-delivered kill
-        can never land *inside* a run-to-horizon batch or an SMP round
-        replay — both engines break batching before dispatching again
-        whenever ``events.next_time() <= now``, and due events only
-        fire from the main loop, where every thread has left its slice
-        (READY/BLOCKED/SLEEPING).  The ``remove_thread`` epoch bump
-        then guarantees no subsequent batch or cached placement can
-        still name the victim, so kill timing is bit-identical across
-        ``engine="quantum"`` and ``engine="horizon"`` (pinned by the
-        kill-during-batch regression tests).
         """
         if thread.tid not in self._thread_tids:
             raise SimulationError(
@@ -573,14 +514,8 @@ class Kernel:
 
         Threads pinned to the failed CPU are *drained*: re-pinned to
         the lowest-numbered online CPU through
-        :meth:`SimThread.pin_to`, whose
-        :meth:`~repro.sched.base.Scheduler.note_affinity_change` hook
-        bumps the scheduler's state epoch — so cached placements and
-        in-flight run-to-horizon batches are invalidated exactly as for
-        any live re-pin.  The scheduler is additionally notified via
-        :meth:`~repro.sched.base.Scheduler.note_capacity_change` (the
-        online-CPU set itself is pick-relevant: placement and capacity
-        read it), then every registered capacity listener fires.
+        :meth:`SimThread.pin_to`, exactly as for any live re-pin; then
+        every registered capacity listener fires.
 
         From the failure instant the CPU accrues ``offline_us`` instead
         of idle time and is skipped by dispatch rounds.  The CPU's past
@@ -618,7 +553,6 @@ class Kernel:
                 displaced.append((thread, target))
                 drained.append(thread)
         self._displaced_pins[index] = displaced
-        self.scheduler.note_capacity_change()
         now = self.now
         online = len(self._online_states)
         for listener in self._capacity_listeners:
@@ -631,8 +565,8 @@ class Kernel:
         Threads that :meth:`fail_cpu` drained off the CPU are re-pinned
         back to it, provided they are still live and still parked where
         the drain left them (a workload that re-pinned a drained thread
-        in the meantime keeps its newer placement).  The scheduler's
-        capacity note and the capacity listeners fire as for a failure.
+        in the meantime keeps its newer placement).  The capacity
+        listeners fire as for a failure.
 
         Returns the threads whose pins were restored.
         """
@@ -654,7 +588,6 @@ class Kernel:
             if thread.state.is_live and thread.affinity == parked_on:
                 thread.pin_to(index)
                 restored.append(thread)
-        self.scheduler.note_capacity_change()
         now = self.now
         online = len(self._online_states)
         for listener in self._capacity_listeners:
@@ -740,9 +673,6 @@ class Kernel:
             cpu0 = self.cpu_states[0]
             clock = self.clock
             scheduler = self.scheduler
-            events = self.events
-            batching = self._batch_dispatches
-            preempted = _DispatchOutcome.PREEMPTED
             while clock.now < t_end:
                 self._fire_due_events()
                 now = clock.now
@@ -753,43 +683,7 @@ class Kernel:
                     if not self._advance_idle(t_end):
                         break
                     continue
-                if not batching:
-                    self._dispatch(cpu0, thread, t_end)
-                    continue
-                # Run-to-horizon: keep re-dispatching the picked thread
-                # while every skipped pick is provably identical — the
-                # slice expired normally, no event or scheduler wake-up
-                # is due, the scheduler state epoch stands still and
-                # the declared preemption horizon is not reached.  Each
-                # quantum still charges full per-dispatch accounting,
-                # so the timeline is bit-identical to the oracle.  The
-                # horizon is only computed once a batch can actually
-                # continue (most dispatches end a batch immediately via
-                # the epoch or the outcome); evaluating it at the
-                # current time is valid — the promise covers picks in
-                # [now, H) and the epoch has not moved since the pick.
-                epoch = scheduler.state_epoch
-                horizon = -1
-                while True:
-                    outcome = self._dispatch(cpu0, thread, t_end)
-                    now = clock.now
-                    if (
-                        outcome != preempted
-                        or now >= t_end
-                        or scheduler.state_epoch != epoch
-                    ):
-                        break
-                    if horizon == -1:
-                        horizon = scheduler.preemption_horizon(now, thread)
-                    if horizon is not None and now >= horizon:
-                        break
-                    next_event = events.next_time()
-                    if next_event is not None and next_event <= now:
-                        break
-                    # The pick being skipped happens *now*, before the
-                    # batched dispatch, so cursor/RNG replays see the
-                    # same scheduler state the oracle's pick saw.
-                    scheduler.note_batched_picks(thread, 1, now)
+                self._dispatch(cpu0, thread, t_end)
         else:
             clock = self.clock
             while clock.now < t_end:
@@ -857,31 +751,10 @@ class Kernel:
     # SMP dispatch rounds
     # ------------------------------------------------------------------
     def _dispatch_round(self, t_end: int) -> bool:
-        """Run one parallel dispatch window; ``False`` if nothing ran.
-
-        Under the run-to-horizon engine a completed round is *replayed*
-        — same picks, same placement, full per-CPU dispatch accounting
-        — for as long as the next round's placement and picks are
-        provably identical: the scheduler state epoch did not move
-        during the round, no calendar event or wake-up is due before
-        the round starts, and every picked thread's preemption horizon
-        (period rolls, replenishments) lies beyond it.  Each replayed
-        round re-runs the same window arithmetic, so boundaries, idle
-        top-ups and dispatch-log timestamps match the oracle exactly.
-        """
+        """Run one parallel dispatch window; ``False`` if nothing ran."""
         t0 = self.clock.now
         scheduler = self.scheduler
-        epoch = scheduler.state_epoch
-        if (
-            not self._batch_dispatches
-            or self._placement_epoch != epoch
-        ):
-            # Placement is a pure function of state covered by the
-            # epoch; while it stands still the cached tid -> CPU map of
-            # the previous round is provably identical, so the horizon
-            # engine skips the recomputation.
-            scheduler.place_threads(t0)
-            self._placement_epoch = epoch
+        scheduler.place_threads(t0)
         picks: list[tuple[CPUState, SimThread]] = []
         idle_cpus: list[CPUState] = []
         for cpu in self._online_states:
@@ -895,60 +768,6 @@ class Kernel:
             picks.append((cpu, thread))
         if not picks:
             return False
-        if not self._batch_dispatches:
-            self._run_round(picks, idle_cpus, t_end)
-            return True
-        # The picks themselves may have serviced deferred examinations;
-        # batching is judged against the post-pick state.
-        replay_base = epoch if scheduler.state_epoch == epoch else None
-        epoch = scheduler.state_epoch
-        self._run_round(picks, idle_cpus, t_end)
-        if replay_base is None or scheduler.state_epoch != epoch:
-            # Something moved during (or right before) the round; the
-            # next round's placement or picks may differ.
-            return True
-        clock = self.clock
-        events = self.events
-        running = ThreadState.RUNNING
-        # Horizons are evaluated lazily, only now that a replay is
-        # possible at all; the current scheduler state is the valid
-        # basis (the epoch has not moved since the picks were made).
-        now = clock.now
-        horizon: Optional[int] = None
-        for cpu, thread in picks:
-            h = scheduler.preemption_horizon(now, thread, cpu=cpu.index)
-            if h is None:
-                continue
-            if horizon is None or h < horizon:
-                horizon = h
-            if horizon <= now:
-                return True
-        while True:
-            if scheduler.state_epoch != epoch:
-                break
-            now = clock.now
-            if now >= t_end:
-                break
-            if horizon is not None and now >= horizon:
-                break
-            next_event = events.next_time()
-            if next_event is not None and next_event <= now:
-                break
-            # Re-claim (epoch stability guarantees every picked thread
-            # ended its slice READY) and replay the identical round.
-            for _, thread in picks:
-                thread.state = running
-            self._run_round(picks, idle_cpus, t_end)
-        return True
-
-    def _run_round(
-        self,
-        picks: list[tuple[CPUState, SimThread]],
-        idle_cpus: list[CPUState],
-        t_end: int,
-    ) -> None:
-        """Execute one claimed dispatch round over a shared window."""
-        t0 = self.clock.now
         # All CPUs share one window cap, computed before any slice runs,
         # so the round is symmetric across CPUs: events scheduled by one
         # CPU's slice become visible at the next round boundary.
@@ -986,6 +805,7 @@ class Kernel:
             for cpu in offline:
                 cpu.offline_us += span
             self._offline_us_total += span * len(offline)
+        return True
 
     # ------------------------------------------------------------------
     # dispatch
@@ -1051,11 +871,7 @@ class Kernel:
 
         # Migration accounting: charged after the dispatch overhead and
         # before the thread's slice, like the cache refill it models.
-        # The penalty is stolen time (charged to no thread); within a
-        # horizon batch or a replayed SMP round the thread provably
-        # stays on its CPU (placement is epoch-cached and eligible_on
-        # pins unpinned threads to their placed CPU), so replays charge
-        # zero — exactly as the quantum oracle's per-round re-dispatch.
+        # The penalty is stolen time (charged to no thread).
         migration_us = 0
         if self._track_migrations:
             last = thread.last_cpu
@@ -1085,23 +901,23 @@ class Kernel:
         slice_us = scheduler.time_slice(thread, now)
         if slice_us <= 0:
             slice_us = self.dispatch_interval_us
-        horizon = now + slice_us
-        if t_end < horizon:
-            horizon = t_end
+        slice_end = now + slice_us
+        if t_end < slice_end:
+            slice_end = t_end
         if window_cap is not None:
             # SMP round: the shared window cap already folds in the next
             # pending event (computed once at round start, for symmetry).
-            if window_cap < horizon:
-                horizon = window_cap
+            if window_cap < slice_end:
+                slice_end = window_cap
         else:
             next_event = self.events.next_time()
-            if next_event is not None and next_event < horizon:
-                horizon = next_event
+            if next_event is not None and next_event < slice_end:
+                slice_end = next_event
 
         consumed = 0
         syscall_cost = self.syscall_cost_us
         outcome = _DispatchOutcome.PREEMPTED
-        while now < horizon:
+        while now < slice_end:
             request = thread._current_request
             if request is None:
                 request = self._next_request(thread)
@@ -1111,7 +927,7 @@ class Kernel:
             if isinstance(request, Compute):
                 remaining = thread._remaining_compute_us
                 if remaining > 0:
-                    step = horizon - now
+                    step = slice_end - now
                     if remaining < step:
                         step = remaining
                     thread._remaining_compute_us = remaining - step
@@ -1128,7 +944,7 @@ class Kernel:
             # it before handling also guarantees forward progress for
             # threads that never yield a Compute request.
             if syscall_cost > 0:
-                step = horizon - now
+                step = slice_end - now
                 if syscall_cost < step:
                     step = syscall_cost
                 now += step

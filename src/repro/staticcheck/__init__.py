@@ -1,11 +1,11 @@
 """Project-specific static analysis (``python -m repro lint``).
 
 Five AST checkers prove the contracts the dynamic suites can only
-sample: the scheduler epoch contract (:mod:`.epoch`), hot-path
-determinism (:mod:`.determinism`), exact float evaluation order in
-annotated controller modules (:mod:`.floatorder`), versioned wire
-formats (:mod:`.wire`), and reproducible experiment registration
-(:mod:`.experiments`).  :mod:`.core` is the framework (findings,
+sample: hot-path determinism (:mod:`.determinism`), exact float
+evaluation order in annotated controller modules (:mod:`.floatorder`),
+versioned wire formats (:mod:`.wire`), reproducible experiment
+registration (:mod:`.experiments`) and atomic artifact writes
+(:mod:`.atomicwrite`).  :mod:`.core` is the framework (findings,
 suppressions, runner), :mod:`.baseline` the grandfathered-debt ledger,
 :mod:`.cli` the entry point.
 """

@@ -1,13 +1,11 @@
 """The ``repro lint`` checker framework.
 
-The perf arc (PRs 3-6) rests on contracts that ordinary linters cannot
-see: every pick-relevant scheduler mutation must bump
-``Scheduler.state_epoch`` (else run-to-horizon batches go silently
-stale), hot paths must stay deterministic (no wall-clock reads, no
-unseeded randomness, no set-order-dependent iteration), controller
-arithmetic must preserve exact float evaluation order, wire formats
-must version their schema, and every registered experiment must expose
-the reproducibility knobs (``engine``/``seed``/fingerprint).  This
+The simulator rests on contracts that ordinary linters cannot see: hot
+paths must stay deterministic (no wall-clock reads, no unseeded
+randomness, no set-order-dependent iteration), controller arithmetic
+must preserve exact float evaluation order, wire formats must version
+their schema, and every registered experiment must expose the
+reproducibility knobs (``seed`` and the dispatch fingerprint).  This
 package is the static analogue of the dynamic differential suites: an
 AST pass that proves (or flags) those contracts at review time instead
 of via 200-example hypothesis hunts.
@@ -18,7 +16,7 @@ Architecture
   per-line ``# repro-lint: disable=...`` suppressions and header
   annotations (``# float-order: exact``).
 * :class:`Project` — every module under the scan roots, so checkers
-  can resolve cross-module structure (the scheduler class hierarchy).
+  can resolve cross-module structure (experiment parameter aliases).
 * :class:`Checker` — a named pass producing :class:`Finding`\\ s; the
   framework applies suppressions and the committed baseline, and the
   CLI (``python -m repro lint``) renders text or ``--json``.
@@ -361,58 +359,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def is_self_attr(node: ast.AST, attrs: Optional[set[str]] = None) -> Optional[str]:
-    """If ``node`` is ``self.<attr>`` (optionally restricted to
-    ``attrs``), return the attribute name."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        if attrs is None or node.attr in attrs:
-            return node.attr
-    return None
-
-
-def literal_str_set(node: ast.AST) -> Optional[set[str]]:
-    """Evaluate a literal ``frozenset({...})``/``{...}``/tuple of string
-    constants; ``None`` when the node is not such a literal."""
-    if isinstance(node, ast.Call):
-        name = call_name(node)
-        if name in ("frozenset", "set") and len(node.args) <= 1:
-            if not node.args:
-                return set()
-            return literal_str_set(node.args[0])
-        return None
-    if isinstance(node, (ast.Set, ast.Tuple, ast.List)):
-        out: set[str] = set()
-        for element in node.elts:
-            if isinstance(element, ast.Constant) and isinstance(element.value, str):
-                out.add(element.value)
-            else:
-                return None
-        return out
-    return None
-
-
-def literal_str_dict(node: ast.AST) -> Optional[dict[str, str]]:
-    """Evaluate a literal ``{str: str}`` dict; ``None`` otherwise."""
-    if not isinstance(node, ast.Dict):
-        return None
-    out: dict[str, str] = {}
-    for key, value in zip(node.keys, node.values):
-        if (
-            isinstance(key, ast.Constant)
-            and isinstance(key.value, str)
-            and isinstance(value, ast.Constant)
-            and isinstance(value.value, str)
-        ):
-            out[key.value] = value.value
-        else:
-            return None
-    return out
-
-
 __all__ = [
     "Checker",
     "Finding",
@@ -424,8 +370,5 @@ __all__ = [
     "Suppression",
     "call_name",
     "dotted_name",
-    "is_self_attr",
-    "literal_str_dict",
-    "literal_str_set",
     "run_checks",
 ]

@@ -12,15 +12,12 @@ needs:
   clamp and dead-band;
 * a :class:`~repro.swift.pid.PIDController` assembled from those blocks
   (the G function of Figure 3);
-* a :class:`~repro.swift.circuit.Circuit` container for composing and
-  stepping a whole dataflow graph at the controller's sampling rate;
 * an :class:`~repro.swift.slo.SLOController` — a second-level feedback
   loop that drives a job class's reservation from its observed tail
   latency (windowed exact-rank p99 vs an SLO target) instead of
   progress pressure.
 """
 
-from repro.swift.circuit import Circuit, Wire
 from repro.swift.components import (
     Clamp,
     Component,
@@ -36,7 +33,6 @@ from repro.swift.pid import PIDController, PIDGains
 from repro.swift.slo import SLOController, SLOPolicy
 
 __all__ = [
-    "Circuit",
     "Clamp",
     "Component",
     "DeadBand",
@@ -50,5 +46,4 @@ __all__ = [
     "SLOController",
     "SLOPolicy",
     "SummingJunction",
-    "Wire",
 ]

@@ -97,7 +97,6 @@ def build_real_rate_system(
     enforce_within_slice: bool = False,
     controller_start_us: int = 0,
     record_dispatches: bool = False,
-    engine: str = "horizon",
 ) -> RealRateSystem:
     """Assemble a kernel + RBS scheduler + registry + controller.
 
@@ -106,9 +105,7 @@ def build_real_rate_system(
     interval, 10 ms controller period, overheads charged, one CPU).
     ``n_cpus`` builds the SMP variant: the kernel dispatches one thread
     per CPU per round and the controller budgets proportions against
-    ``n_cpus * PROPORTION_SCALE`` of total capacity.  ``engine``
-    selects the kernel's time-advancement engine (``"horizon"`` or the
-    ``"quantum"`` differential-testing oracle).
+    ``n_cpus * PROPORTION_SCALE`` of total capacity.
     """
     config = config if config is not None else ControllerConfig()
     scheduler = ReservationScheduler(enforce_within_slice=enforce_within_slice)
@@ -119,7 +116,6 @@ def build_real_rate_system(
         dispatch_interval_us=dispatch_interval_us,
         charge_dispatch_overhead=charge_dispatch_overhead,
         record_dispatches=record_dispatches,
-        engine=engine,
     )
     registry = SymbioticRegistry()
     allocator = ProportionAllocator(

@@ -11,8 +11,8 @@ An :class:`ArrivalProcess` produces the virtual times at which the
 :class:`~repro.workloads.engine.WorkloadEngine` injects new threads
 into a running kernel.  All processes are deterministic: stochastic
 ones draw from a :class:`random.Random` seeded at construction, so the
-same process replayed in two kernels (e.g. the ``quantum`` oracle and
-the ``horizon`` engine) yields microsecond-identical schedules.
+same process replayed in two kernels yields microsecond-identical
+schedules.
 
 The single-rate processes (deterministic, Poisson) are *live* objects:
 their rate may be changed while the simulation runs (a

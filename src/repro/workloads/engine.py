@@ -11,16 +11,13 @@ re-sizes) at scripted virtual times.
 
 The churn contract
 ------------------
-Arrival-driven spawn and mid-run exit are *transitions* for the
-run-to-horizon kernel engine: every path that mutates the dispatchable
-set funnels through epoch-bumping scheduler hooks
-(``Scheduler.add_thread`` / ``remove_thread`` on spawn/exit,
-``Scheduler.note_affinity_change`` on re-pins,
-``set_reservation`` on re-sizes), and arrivals and phase actions are
-ordinary calendar events, so the batcher provably cannot skip across
-them.  Both kernel engines therefore produce bit-identical dispatch
-logs under churn — enforced by ``tests/test_properties_churn.py`` and
-the golden-trace corpus under ``tests/golden/``.
+Arrival-driven spawn and mid-run exit go through the scheduler's
+membership hooks (``Scheduler.add_thread`` / ``remove_thread``), and
+arrivals and phase actions are ordinary calendar events, which fire
+only between dispatches.  A fixed seed therefore reproduces the
+dispatch log bit for bit under churn — enforced by
+``tests/test_properties_churn.py`` and the golden-trace corpus under
+``tests/golden/``.
 
 Jobs
 ----
@@ -292,9 +289,8 @@ class WorkloadEngine:
     ----------
     kernel:
         The kernel to inject into.  Arrivals become calendar events on
-        its :class:`~repro.sim.events.EventCalendar`, so they interact
-        correctly with both time-advancement engines (an arrival ends a
-        run-to-horizon batch exactly like any other event).
+        its :class:`~repro.sim.events.EventCalendar` and fire between
+        dispatches like any other event.
     allocator:
         Optional controller.  When given, jobs whose template carries a
         ``spec`` are registered with it (real-time specs go through
@@ -626,8 +622,8 @@ class PhaseScript:
 
     Actions are scheduled as one-shot calendar events at absolute
     virtual times when the script is installed (``engine.start(script)``
-    or :meth:`install`), so they are ordinary transitions for both
-    kernel engines.  Equal-time actions fire in the order they were
+    or :meth:`install`), so they fire between dispatches like any other
+    event.  Equal-time actions fire in the order they were
     added (the calendar's sequence numbers guarantee it).
     """
 

@@ -68,9 +68,12 @@ class TestRunner:
         assert entry["name"] == "overload64"
         assert entry["wall_s_min"] > 0
         assert entry["sim_us_per_wall_s"] > 0
-        # The kernel engine is recorded so quantum-vs-horizon numbers
-        # stay distinguishable in the perf trajectory.
-        assert entry["engine"] == "horizon"
+        # The v3 per-scenario field set, exactly.
+        assert set(entry) == {
+            "name", "description", "sim_us", "repeats", "wall_s",
+            "wall_s_min", "sim_us_per_wall_s", "dispatches", "n_threads",
+            "threads_completed", "migrations", "migration_us",
+        }
         # Everything must survive a JSON round-trip.
         assert json.loads(json.dumps(artifact)) == artifact
 
@@ -319,7 +322,10 @@ class TestCompareAndHistory:
         assert record["kind"] == "bench_history"
         assert "overload64" in record["scenarios"]
         assert record["scenarios"]["overload64"] > 0
-        assert record["engines"]["overload64"] == "horizon"
+        assert set(record) == {
+            "schema_version", "kind", "git_sha", "timestamp",
+            "repro_version", "python", "quick", "repeats", "scenarios",
+        }
         assert record["git_sha"]
         path = tmp_path / "BENCH_history.jsonl"
         append_history(results, str(path), quick=False, repeats=1)

@@ -1,10 +1,10 @@
-"""The five churn scenarios: registration, engine equivalence, shapes.
+"""The churn scenarios: registration, replay, shapes.
 
 The acceptance bar for the open-system scenarios is that each produces
-**bit-identical dispatch-log fingerprints** on ``engine="quantum"`` and
-``engine="horizon"`` — every scenario stamps its fingerprint into
-``metadata["dispatch_fingerprint"]`` exactly so this suite can diff the
-two engines end-to-end through the registry.
+**bit-identical dispatch-log fingerprints** when rerun with the same
+parameters — every scenario stamps its fingerprint into
+``metadata["dispatch_fingerprint"]`` exactly so this suite can diff two
+runs end-to-end through the registry.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ class TestRegistration:
         for name in CHURN_SCENARIOS:
             spec = REGISTRY.get(name)
             assert "churn" in spec.tags
-            engine = spec.param("engine")
-            assert engine.choices == ("horizon", "quantum")
-            assert engine.default == "horizon"
+            assert spec.param("seed").kind == "int"
 
     def test_quick_overrides_shrink_duration(self):
         for name in CHURN_SCENARIOS:
@@ -46,24 +44,19 @@ class TestRegistration:
             assert quick["duration_s"] < full["duration_s"], name
 
 
-class TestEngineEquivalence:
+class TestReplay:
     @pytest.mark.parametrize("name", CHURN_SCENARIOS)
     def test_bit_identical_fingerprints(self, name):
-        """Quick-mode runs under both engines agree on everything."""
-        results = {
-            engine: REGISTRY.run(name, {"engine": engine}, quick=True)
-            for engine in ("quantum", "horizon")
-        }
-        quantum, horizon = results["quantum"], results["horizon"]
+        """Two quick-mode runs with the same parameters agree on everything."""
+        first = REGISTRY.run(name, quick=True)
+        second = REGISTRY.run(name, quick=True)
         assert (
-            horizon.metadata["dispatch_fingerprint"]
-            == quantum.metadata["dispatch_fingerprint"]
-        ), f"{name}: dispatch logs diverged between engines"
+            first.metadata["dispatch_fingerprint"]
+            == second.metadata["dispatch_fingerprint"]
+        ), f"{name}: dispatch logs diverged between reruns"
         # The scalar metrics are all derived from the same deterministic
         # run, so they must agree exactly too.
-        assert horizon.metrics == quantum.metrics
-        assert horizon.metadata["engine"] == "horizon"
-        assert quantum.metadata["engine"] == "quantum"
+        assert first.metrics == second.metrics
 
 
 class TestScenarioShapes:
@@ -168,7 +161,7 @@ class TestScenarioShapes:
 class TestCli:
     def test_run_churn_scenario_via_cli(self, capsys):
         code = main(
-            ["run", "flash_crowd_rt", "--quick", "--param", "engine=quantum"]
+            ["run", "flash_crowd_rt", "--quick", "--param", "seed=5"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -182,7 +175,7 @@ class TestCli:
         assert code == 0
         artifact = json.loads(path.read_text())
         assert artifact["experiment_id"] == "thundering_herd"
-        assert artifact["metadata"]["params"]["engine"] == "horizon"
+        assert "seed" in artifact["metadata"]["params"]
         assert "dispatch_fingerprint" in artifact["metadata"]
 
 
@@ -195,7 +188,6 @@ class TestChurnBench:
         result = run_scenario(BENCH_REGISTRY["churn1k"], quick=True, repeats=1)
         assert result.threads_completed > 50
         assert result.n_threads >= result.threads_completed
-        assert result.engine == "horizon"
         assert result.to_dict()["threads_completed"] == result.threads_completed
 
     def test_full_churn1k_exceeds_1000_lifetimes_by_construction(self):

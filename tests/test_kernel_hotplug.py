@@ -1,10 +1,11 @@
-"""CPU hotplug (fail/recover) semantics and mid-batch edge regressions.
+"""CPU hotplug (fail/recover) semantics and forced-exit edge cases.
 
 The second half is the forced-exit audit: ``kill_thread`` and
-``fail_cpu`` arriving via calendar events that land *inside* a horizon
-batch window must produce bit-identical behaviour to the quantum
-oracle, because batches break at event boundaries.  Calling either from
-inside a dispatch round (which the calendar can never do) is rejected.
+``fail_cpu`` arriving via calendar events in the middle of long compute
+bursts must take effect at exactly the scripted virtual time, keep the
+conservation identity, and replay bit-identically at a fixed setup.
+Calling either from inside a dispatch round (which the calendar can
+never do) is rejected.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from repro.sim.kernel import Kernel
 from tests.conftest import finite_body, spin_body
 
 
-def make_kernel(n_cpus=2, engine="quantum", **kwargs) -> Kernel:
+def make_kernel(n_cpus=2, **kwargs) -> Kernel:
     defaults = dict(
         charge_dispatch_overhead=False, syscall_cost_us=0,
         record_dispatches=True,
     )
     defaults.update(kwargs)
     return Kernel(
-        RoundRobinScheduler(), n_cpus=n_cpus, engine=engine, **defaults
+        RoundRobinScheduler(), n_cpus=n_cpus, **defaults
     )
 
 
@@ -137,44 +138,69 @@ def _observe(kernel):
     )
 
 
-class TestMidBatchEdges:
-    """Kill and hotplug events landing inside horizon batch windows."""
+def _assert_conserved(kernel):
+    assert (
+        kernel.total_thread_cpu_us() + kernel.idle_us + kernel.stolen_us
+        + kernel.offline_us
+        == kernel.capacity_us()
+    ), "conservation identity violated"
+
+
+def _starts(kernel, *, name=None, cpu=None):
+    """Start times of the logged dispatches matching ``name``/``cpu``."""
+    return [
+        entry[0]
+        for entry in kernel.dispatch_log
+        if (name is None or entry[2] == name)
+        and (cpu is None or entry[1] == cpu)
+    ]
+
+
+class TestKillAndHotplugEvents:
+    """Kill and hotplug events landing in the middle of long bursts."""
 
     @pytest.mark.parametrize("scheduler_cls", [RoundRobinScheduler,
                                                ReservationScheduler])
-    def test_kill_during_batch_matches_oracle(self, scheduler_cls):
-        # Long bursts give the horizon engine big batch windows; the
-        # kill at an odd time must break the batch identically.
-        def build(engine):
+    def test_kill_lands_at_scripted_time(self, scheduler_cls):
+        # Long bursts keep the victim mid-computation when the kill
+        # fires at an odd time.
+        def build():
             kernel = Kernel(
-                scheduler_cls(), n_cpus=2, engine=engine,
+                scheduler_cls(), n_cpus=2,
                 charge_dispatch_overhead=False, syscall_cost_us=0,
                 record_dispatches=True,
             )
             victim = kernel.spawn("victim", spin_body(25_000))
             kernel.spawn("other", spin_body(25_000))
             kernel.spawn("third", finite_body(40_000, 25_000))
-            kernel.events.schedule(
-                13_337, lambda: kernel.kill_thread(victim), label="kill"
-            )
-            return kernel, victim
+            killed_at = []
 
-        results = {}
-        for engine in ("quantum", "horizon"):
-            kernel, victim = build(engine)
+            def kill():
+                killed_at.append(kernel.now)
+                assert kernel.kill_thread(victim)
+
+            kernel.events.schedule(13_337, kill, label="kill")
+            return kernel, victim, killed_at
+
+        results = []
+        for _ in range(2):
+            kernel, victim, killed_at = build()
             kernel.run_for(60_000)
+            assert killed_at == [13_337]
             assert not victim.state.is_live
-            results[engine] = _observe(kernel)
-        assert results["quantum"] == results["horizon"]
+            assert all(t < 13_337 for t in _starts(kernel, name="victim"))
+            _assert_conserved(kernel)
+            results.append(_observe(kernel))
+        assert results[0] == results[1]
 
-    def test_fail_cpu_during_batch_matches_oracle(self):
-        def build(engine):
+    def test_fail_cpu_mid_burst_drains_and_recovers(self):
+        def build():
             kernel = Kernel(
-                RoundRobinScheduler(), n_cpus=4, engine=engine,
+                RoundRobinScheduler(), n_cpus=4,
                 charge_dispatch_overhead=False, syscall_cost_us=0,
                 record_dispatches=True,
             )
-            kernel.spawn("pinned", spin_body(25_000), affinity=1)
+            pinned = kernel.spawn("pinned", spin_body(25_000), affinity=1)
             for i in range(3):
                 kernel.spawn(f"w{i}", spin_body(25_000))
             kernel.events.schedule(
@@ -183,23 +209,29 @@ class TestMidBatchEdges:
             kernel.events.schedule(
                 41_221, lambda: kernel.recover_cpu(1), label="recover"
             )
-            return kernel
+            return kernel, pinned
 
-        results = {}
-        for engine in ("quantum", "horizon"):
-            kernel = build(engine)
+        results = []
+        for _ in range(2):
+            kernel, pinned = build()
             kernel.run_for(80_000)
             assert kernel.online_cpu_count == 4
-            results[engine] = _observe(kernel)
-        assert results["quantum"] == results["horizon"]
+            assert pinned.affinity == 1
+            starts = _starts(kernel, cpu=1)
+            assert not [t for t in starts if 13_337 <= t < 41_221]
+            assert [t for t in starts if t >= 41_221]
+            assert kernel.offline_us == 41_221 - 13_337
+            _assert_conserved(kernel)
+            results.append(_observe(kernel))
+        assert results[0] == results[1]
 
-    def test_kill_on_failed_cpus_thread_during_batch(self):
+    def test_kill_on_failed_cpus_thread(self):
         """The drained thread is killed while its home CPU is down, and
-        the CPU later recovers: nothing dangles, engines agree."""
+        the CPU later recovers: nothing dangles."""
 
-        def build(engine):
+        def build():
             kernel = Kernel(
-                RoundRobinScheduler(), n_cpus=2, engine=engine,
+                RoundRobinScheduler(), n_cpus=2,
                 charge_dispatch_overhead=False, syscall_cost_us=0,
                 record_dispatches=True,
             )
@@ -216,11 +248,17 @@ class TestMidBatchEdges:
             )
             return kernel, victim
 
-        results = {}
-        for engine in ("quantum", "horizon"):
-            kernel, victim = build(engine)
+        results = []
+        for _ in range(2):
+            kernel, victim = build()
             kernel.run_for(60_000)
             assert not victim.state.is_live
             # The dead thread's pin was not restored on recovery.
-            results[engine] = _observe(kernel)
-        assert results["quantum"] == results["horizon"]
+            assert victim.affinity == 0
+            assert max(_starts(kernel, name="victim")) < 20_011
+            assert not [
+                t for t in _starts(kernel, cpu=1) if 10_003 <= t < 30_029
+            ]
+            _assert_conserved(kernel)
+            results.append(_observe(kernel))
+        assert results[0] == results[1]

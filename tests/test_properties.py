@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +11,10 @@ from repro.core.estimator import ProportionEstimator
 from repro.core.overload import FairShareSquish, SquishRequest, WeightedFairShareSquish
 from repro.ipc.bounded_buffer import BoundedBuffer
 from repro.monitor.usage import UsageSample
-from repro.sched.rbs import Reservation
+from repro.sched.rbs import Reservation, ReservationScheduler
 from repro.sim.events import EventQueue
+from repro.sim.kernel import Kernel
+from repro.sim.requests import Compute, Sleep, WaitIO, Yield
 from repro.swift.pid import PIDController, PIDGains
 
 # ----------------------------------------------------------------------
@@ -236,3 +239,71 @@ def test_rate_from_cumulative_of_nondecreasing_counter_is_nonnegative(increments
 def test_sparkline_width_bounded(values, width):
     line = sparkline(values, width)
     assert 0 < len(line) <= width
+
+
+# ----------------------------------------------------------------------
+# Kernel conservation identity at arbitrary stopping points
+# ----------------------------------------------------------------------
+def _spec_body(kind, burst, aux):
+    """A deterministic thread body for one ``thread_specs`` entry."""
+
+    def body(env):
+        if kind == "finite":
+            for _ in range(max(1, aux // 1_000)):
+                yield Compute(burst)
+            return
+        while True:
+            yield Compute(burst)
+            if kind == "sleeper":
+                yield Sleep(aux)
+            elif kind == "io":
+                yield WaitIO(aux, tag="disk")
+            elif kind == "yielder":
+                yield Yield()
+
+    return body
+
+
+thread_specs = st.lists(
+    st.tuples(
+        st.sampled_from(["hog", "sleeper", "io", "yielder", "finite"]),
+        st.integers(min_value=50, max_value=7_000),    # burst
+        st.integers(min_value=100, max_value=20_000),  # sleep/latency/repeats
+        # Reservation: None (best effort) or (ppt, period).
+        st.one_of(
+            st.none(),
+            st.tuples(
+                st.integers(min_value=10, max_value=600),
+                st.sampled_from([5_000, 10_000, 20_000, 30_000]),
+            ),
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 4])
+@settings(max_examples=15, deadline=None)
+@given(
+    specs=thread_specs,
+    checkpoints=st.lists(
+        st.integers(min_value=1_000, max_value=60_000), min_size=1, max_size=4
+    ),
+)
+def test_conservation_holds_at_every_checkpoint(n_cpus, specs, checkpoints):
+    """The identity must hold at arbitrary stopping points, not just at
+    the end of a run — idle jumps must never smear time across a
+    ``run_until`` boundary."""
+    scheduler = ReservationScheduler()
+    kernel = Kernel(scheduler, n_cpus=n_cpus)
+    for index, (kind, burst, aux, reservation) in enumerate(specs):
+        thread = kernel.spawn(f"t{index}.{kind}", _spec_body(kind, burst, aux))
+        if reservation is not None:
+            scheduler.set_reservation(thread, *reservation)
+    for step in checkpoints:
+        kernel.run_for(step)
+        assert (
+            kernel.total_thread_cpu_us() + kernel.idle_us + kernel.stolen_us
+            == kernel.capacity_us()
+        ), "conservation identity violated"

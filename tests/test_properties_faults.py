@@ -12,9 +12,9 @@ armed, and asserts the invariants that must survive any such sequence:
   up, every thread exists once, nothing runs after exiting, and no SMP
   round dispatches a thread on two CPUs — even while CPUs drain and
   hijacked bodies are swapped in and out;
-* **engine equivalence** — the quantum oracle and the horizon engine
-  produce bit-identical dispatch logs, accounting, injection records
-  and quarantine histories under every fault type.
+* **replay** — two runs of the identical fault sequence produce
+  bit-identical dispatch logs, accounting, injection records and
+  quarantine histories under every fault type.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def fault_plan(n_cpus, n_streams, faults, seed=17):
         else:
             fault = RUNAWAY_START if kind == "runaway" else STALL_START
             # Target early job indices; a name that never spawned is a
-            # logged miss, which both engines must record identically.
+            # logged miss, which every replay must record identically.
             name = f"s{target % n_streams}.{target % 3}"
             events.append(
                 FaultEvent(at_us, fault, thread=name, duration_us=duration)
@@ -105,8 +105,8 @@ def assert_conserved_with_offline(kernel):
     ), "extended conservation identity violated under faults"
 
 
-def build_faulty_churn(engine, n_cpus, specs, faults):
-    kernel, churn = build_churn(engine, n_cpus, specs, [])
+def build_faulty_churn(n_cpus, specs, faults):
+    kernel, churn = build_churn(n_cpus, specs, [])
     injector = FaultInjector(
         kernel, fault_plan(n_cpus, len(specs), faults)
     )
@@ -139,11 +139,11 @@ def observe_faults(injector, manager, watchdog):
 @pytest.mark.parametrize("n_cpus", [1, 4])
 @settings(max_examples=12, deadline=None)
 @given(specs=stream_specs, faults=fault_specs)
-def test_fault_churn_invariants_and_engine_equivalence(n_cpus, specs, faults):
-    observations = {}
-    for engine in ("quantum", "horizon"):
+def test_fault_churn_invariants_and_replay(n_cpus, specs, faults):
+    observations = []
+    for _ in range(2):
         kernel, churn, injector, manager, watchdog = build_faulty_churn(
-            engine, n_cpus, specs, faults
+            n_cpus, specs, faults
         )
         # Conservation must hold at arbitrary checkpoints, including
         # ones that land inside fault windows.
@@ -151,14 +151,14 @@ def test_fault_churn_invariants_and_engine_equivalence(n_cpus, specs, faults):
             kernel.run_for(DURATION_US // 3)
             assert_conserved_with_offline(kernel)
         assert_no_lost_no_double(kernel, churn)
-        observations[engine] = (
-            observe(kernel), observe_faults(injector, manager, watchdog)
+        observations.append(
+            (observe(kernel), observe_faults(injector, manager, watchdog))
         )
-    quantum, horizon = observations["quantum"], observations["horizon"]
-    assert horizon[0][0] == quantum[0][0], "dispatch log diverged"
-    assert horizon[0][1] == quantum[0][1], "per-thread accounting diverged"
-    assert horizon[0][2] == quantum[0][2], "kernel totals diverged"
-    assert horizon[1] == quantum[1], (
+    first, second = observations
+    assert first[0][0] == second[0][0], "dispatch log diverged"
+    assert first[0][1] == second[0][1], "per-thread accounting diverged"
+    assert first[0][2] == second[0][2], "kernel totals diverged"
+    assert first[1] == second[1], (
         "injection / degradation / quarantine records diverged"
     )
 
@@ -175,7 +175,7 @@ def test_conservation_at_irregular_checkpoints(specs, faults, checkpoints):
     """Run lengths chosen independently of the fault times: conservation
     and liveness bookkeeping hold no matter where the run pauses."""
     kernel, churn, injector, _manager, _watchdog = build_faulty_churn(
-        "horizon", 4, specs, faults
+        4, specs, faults
     )
     for segment in checkpoints:
         kernel.run_for(segment)
@@ -214,10 +214,10 @@ def thinker(burst_us, think_us):
 
 @settings(max_examples=10, deadline=None)
 @given(sensors=sensor_specs)
-def test_sensor_faults_engine_equivalence(sensors):
-    """Dropout / corruption windows on controller sensors stay
-    bit-identical across engines: the corruption RNG is seeded and the
-    controller consumes the same faulty readings in the same order."""
+def test_sensor_faults_replay(sensors):
+    """Dropout / corruption windows on controller sensors replay
+    bit-identically: the corruption RNG is seeded and the controller
+    consumes the same faulty readings in the same order."""
     events = tuple(
         FaultEvent(
             at_us,
@@ -228,14 +228,13 @@ def test_sensor_faults_engine_equivalence(sensors):
         )
         for at_us, mode, target, duration in sensors
     )
-    observations = {}
-    for engine in ("quantum", "horizon"):
+    observations = []
+    for _ in range(2):
         system = build_real_rate_system(
             ControllerConfig(),
             charge_dispatch_overhead=False,
             charge_controller_overhead=False,
             record_dispatches=True,
-            engine=engine,
         )
         kernel = system.kernel
         system.spawn_controlled("c0", thinker(800, 1_200))
@@ -247,13 +246,11 @@ def test_sensor_faults_engine_equivalence(sensors):
         injector.install()
         kernel.run_for(120_000)
         assert_conserved_with_offline(kernel)
-        observations[engine] = (
+        observations.append((
             observe(kernel),
             tuple((r.at_us, r.kind, r.detail, r.hit) for r in injector.log),
-        )
-    assert observations["quantum"] == observations["horizon"], (
-        "sensor faults broke engine equivalence"
-    )
+        ))
+    assert observations[0] == observations[1], "sensor faults broke replay"
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +342,13 @@ def test_migration_penalties_conserve_under_hotplug(policy_name, faults, pins):
     """Random CPU fail/recover windows plus random re-pins on a
     penalised topology kernel: the extended conservation identity
     (migration time charged as stolen) holds at every checkpoint and
-    both engines agree bit-for-bit, migration counters included."""
+    two runs agree bit-for-bit, migration counters included."""
     topo = CpuTopology(
         sockets=2, cores_per_socket=1, threads_per_core=2,
         smt_migration_us=25, core_migration_us=80, socket_migration_us=200,
     )
-    observations = {}
-    for engine in ("quantum", "horizon"):
+    observations = []
+    for _ in range(2):
         scheduler = ReservationScheduler()
         scheduler.placement = (
             CacheWarmPlacement(topo) if policy_name == "cache_warm"
@@ -359,7 +356,7 @@ def test_migration_penalties_conserve_under_hotplug(policy_name, faults, pins):
         )
         kernel = Kernel(
             scheduler, n_cpus=4, topology=topo,
-            record_dispatches=True, engine=engine,
+            record_dispatches=True,
         )
         threads = []
         for i in range(6):
@@ -374,7 +371,7 @@ def test_migration_penalties_conserve_under_hotplug(policy_name, faults, pins):
                 if target == 4:
                     thread.pin_to(None)
                 elif kernel.cpu_is_online(target):
-                    # An offline target would raise; both engines see
+                    # An offline target would raise; every run sees
                     # the same online set at the same virtual time, so
                     # skipping is deterministic too.
                     thread.pin_to(target)
@@ -388,9 +385,9 @@ def test_migration_penalties_conserve_under_hotplug(policy_name, faults, pins):
         assert kernel.migrations == sum(
             c.migrations for c in kernel.cpu_states
         )
-        observations[engine] = (
-            observe(kernel), kernel.migrations, kernel.migration_us
+        observations.append(
+            (observe(kernel), kernel.migrations, kernel.migration_us)
         )
-    assert observations["quantum"] == observations["horizon"], (
-        "migration penalties broke engine equivalence under hotplug"
+    assert observations[0] == observations[1], (
+        "migration penalties broke replay under hotplug"
     )

@@ -29,7 +29,6 @@ def _artifact(**overrides):
         "series": {"live": {"times": [0.0, 1.0, 2.0], "values": [1.0, 3.0, 2.0]}},
         "notes": ["a note"],
         "metadata": {
-            "engine": "horizon",
             "seed": 7,
             "dispatch_fingerprint": "abc123",
             "sojourn_percentiles": {

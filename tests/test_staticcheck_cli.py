@@ -19,7 +19,6 @@ from repro.staticcheck.cli import main as lint_main
 FIXTURES = Path(__file__).parent / "staticcheck_fixtures"
 
 BAD_FIXTURES = (
-    "epoch_bad.py",
     "determinism_bad.py",
     "floatorder_bad.py",
     "wire_bad.py",
@@ -56,11 +55,11 @@ def test_list_checks_names_all_five(capsys):
     assert lint_main(["--list-checks"]) == 0
     out = capsys.readouterr().out
     for name in (
-        "epoch-contract",
         "determinism",
         "float-order",
         "wire-format",
         "experiment-registry",
+        "atomic-write",
     ):
         assert name in out
 

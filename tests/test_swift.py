@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.swift.circuit import Circuit
 from repro.swift.components import (
     Clamp,
     DeadBand,
@@ -195,76 +194,6 @@ class TestPIDController:
             control = pid.step(setpoint - state, dt)
             state += control * dt
         assert state == pytest.approx(setpoint, abs=0.01)
-
-
-class TestCircuit:
-    def test_linear_chain_evaluation(self):
-        circuit = Circuit()
-        circuit.add("in", Gain(1.0)).add("x2", Gain(2.0)).add("x3", Gain(3.0))
-        circuit.chain("in", "x2", "x3")
-        outputs = circuit.step({"in": 2.0}, dt=0.01)
-        assert outputs == {"x3": 12.0}
-
-    def test_inputs_and_outputs_identified(self):
-        circuit = Circuit()
-        circuit.add("a", Gain(1.0)).add("b", Gain(1.0)).connect("a", "b")
-        assert circuit.inputs() == ["a"]
-        assert circuit.outputs() == ["b"]
-
-    def test_missing_input_raises(self):
-        circuit = Circuit()
-        circuit.add("a", Gain(1.0))
-        with pytest.raises(ValueError):
-            circuit.step({}, dt=0.01)
-
-    def test_duplicate_name_rejected(self):
-        circuit = Circuit()
-        circuit.add("a", Gain(1.0))
-        with pytest.raises(ValueError):
-            circuit.add("a", Gain(2.0))
-
-    def test_two_incoming_wires_rejected(self):
-        circuit = Circuit()
-        circuit.add("a", Gain(1.0)).add("b", Gain(1.0)).add("c", Gain(1.0))
-        circuit.connect("a", "c")
-        with pytest.raises(ValueError):
-            circuit.connect("b", "c")
-
-    def test_cycle_detected(self):
-        circuit = Circuit()
-        circuit.add("a", Gain(1.0)).add("b", Gain(1.0))
-        circuit.connect("a", "b")
-        circuit.connect("b", "a")
-        with pytest.raises(ValueError):
-            circuit.step({"a": 1.0}, dt=0.01)
-
-    def test_unknown_component_in_connect(self):
-        circuit = Circuit()
-        circuit.add("a", Gain(1.0))
-        with pytest.raises(ValueError):
-            circuit.connect("a", "missing")
-
-    def test_stateful_components_persist_between_steps(self):
-        circuit = Circuit()
-        circuit.add("err", Gain(1.0)).add("int", Integrator())
-        circuit.connect("err", "int")
-        circuit.step({"err": 1.0}, dt=0.5)
-        outputs = circuit.step({"err": 1.0}, dt=0.5)
-        assert outputs["int"] == pytest.approx(1.0)
-
-    def test_reset_resets_components(self):
-        circuit = Circuit()
-        circuit.add("int", Integrator())
-        circuit.step({"int": 1.0}, dt=1.0)
-        circuit.reset()
-        assert circuit.step({"int": 0.0}, dt=1.0)["int"] == 0.0
-
-    def test_len_and_contains(self):
-        circuit = Circuit()
-        circuit.add("a", Gain(1.0))
-        assert len(circuit) == 1
-        assert "a" in circuit
-        assert "b" not in circuit
 
 
 class TestPIDInlineConsistency:

@@ -155,8 +155,8 @@ class TestCacheWarmPlacement:
 
     def test_stable_under_self_application(self):
         # Re-running assign after threads "ran" where they were placed
-        # must reproduce the identical map (the horizon engine caches
-        # it; the quantum oracle recomputes it every round).
+        # must reproduce the identical map: a thread that ran where it
+        # was placed stays there next round.
         topo = CpuTopology.from_spec(
             "2x2x2"
         )
@@ -365,14 +365,14 @@ class TestKernelTopology:
         assert dispatch_fingerprint(plain) == dispatch_fingerprint(topo)
 
     @pytest.mark.parametrize("placement", ["cache_warm", "numa_pack"])
-    def test_engines_agree_with_penalties(self, placement):
+    def test_penalised_runs_are_deterministic(self, placement):
         topo = CpuTopology(
             sockets=2, cores_per_socket=1, threads_per_core=2,
             smt_migration_us=25, core_migration_us=80,
             socket_migration_us=200,
         )
 
-        def run(engine):
+        def run():
             scheduler = ReservationScheduler()
             scheduler.placement = (
                 CacheWarmPlacement(topo) if placement == "cache_warm"
@@ -380,7 +380,7 @@ class TestKernelTopology:
             )
             kernel = Kernel(
                 scheduler, n_cpus=4, topology=topo,
-                record_dispatches=True, engine=engine,
+                record_dispatches=True,
             )
             threads = [
                 kernel.spawn(f"grp{i % 2}.{i}", finite_body(30_000))
@@ -396,11 +396,15 @@ class TestKernelTopology:
             kernel.run_for(80_000)
             return kernel
 
-        quantum = run("quantum")
-        horizon = run("horizon")
-        assert dispatch_fingerprint(quantum) == dispatch_fingerprint(horizon)
-        assert quantum.migrations == horizon.migrations
-        assert quantum.migration_us == horizon.migration_us
+        first = run()
+        second = run()
+        assert (
+            first.total_thread_cpu_us() + first.idle_us + first.stolen_us
+            == first.capacity_us()
+        )
+        assert dispatch_fingerprint(first) == dispatch_fingerprint(second)
+        assert first.migrations == second.migrations
+        assert first.migration_us == second.migration_us
 
     def test_penalised_dispatch_log_entries_carry_cost(self):
         topo = CpuTopology(
@@ -423,21 +427,16 @@ class TestKernelTopology:
 
 
 class TestTopologyExperiment:
-    def test_quick_run_engines_agree(self):
+    def test_quick_run_is_deterministic(self):
         from repro.experiments.topology import topology_placement_experiment
 
-        results = {
-            engine: topology_placement_experiment(
-                duration_s=0.2, engine=engine
-            )
-            for engine in ("quantum", "horizon")
-        }
-        prints = {
-            engine: result.metadata["dispatch_fingerprint"]
-            for engine, result in results.items()
-        }
-        assert prints["quantum"] == prints["horizon"]
-        result = results["horizon"]
+        result = topology_placement_experiment(duration_s=0.2)
+        rerun = topology_placement_experiment(duration_s=0.2)
+        assert (
+            result.metadata["dispatch_fingerprint"]
+            == rerun.metadata["dispatch_fingerprint"]
+        )
+        assert result.metrics == rerun.metrics
         assert result.metrics["conservation_ok_flat"] == 1.0
         assert result.metrics["conservation_ok_aware"] == 1.0
         assert (

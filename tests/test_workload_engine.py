@@ -3,7 +3,7 @@
 Covers the arrival processes (determinism, live rate changes, trace
 parsing), the engine's spawn/complete/reject/kill bookkeeping, the
 phase-script actions, and the kernel/scheduler churn contract they
-depend on (``Kernel.kill_thread``, the affinity epoch bump,
+depend on (``Kernel.kill_thread``, ``SimThread.pin_to``,
 ``ProportionAllocator.would_admit``).
 """
 
@@ -546,25 +546,9 @@ class TestKillThread:
 
 
 # ----------------------------------------------------------------------
-# affinity epoch bump
+# pins before a kernel exists
 # ----------------------------------------------------------------------
-class TestAffinityEpoch:
-    def test_live_repin_bumps_epoch(self):
-        kernel = Kernel(RoundRobinScheduler(), n_cpus=2)
-        def body(env):
-            yield Compute(50_000)
-
-        thread = kernel.spawn("t", body)
-        kernel.run_for(1_000)
-        before = kernel.scheduler.state_epoch
-        thread.pin_to(1)
-        assert kernel.scheduler.state_epoch == before + 1
-        # A no-op re-pin to the same CPU does not churn the epoch.
-        thread.pin_to(1)
-        assert kernel.scheduler.state_epoch == before + 1
-        thread.pin_to(None)
-        assert kernel.scheduler.state_epoch == before + 2
-
+class TestPinTo:
     def test_unbound_pin_does_not_need_a_kernel(self):
         from repro.sim.thread import SimThread
 
