@@ -16,12 +16,12 @@ Run with::
     python examples/priority_inversion.py
 """
 
-from repro.experiments.inversion import run_inversion_comparison
+from repro.experiments import inversion_experiment
 
 
 def main() -> None:
     print("running the three-scheduler comparison (10 simulated seconds each) ...")
-    result = run_inversion_comparison()
+    result = inversion_experiment()
     print()
     print(result.summary())
     print()

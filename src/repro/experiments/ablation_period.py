@@ -122,17 +122,4 @@ def ablation_period_experiment(
     return result
 
 
-def run_ablation_period(
-    *,
-    sim_seconds: float = 10.0,
-    config: Optional[ControllerConfig] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``ablation_period``
-    experiment."""
-    return ablation_period_experiment(
-        sim_seconds=sim_seconds, seed=seed, config=config
-    )
-
-
-__all__ = ["ablation_period_experiment", "run_ablation_period"]
+__all__ = ["ablation_period_experiment"]

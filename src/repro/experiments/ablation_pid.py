@@ -162,23 +162,9 @@ def ablation_pid_experiment(
     return result
 
 
-def run_ablation_pid(
-    settings: Sequence[tuple[str, float, float, float]] = DEFAULT_GAIN_SETTINGS,
-    *,
-    sim_seconds: float = 8.0,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``ablation_pid``
-    experiment."""
-    return ablation_pid_experiment(
-        settings=settings, sim_seconds=sim_seconds, seed=seed
-    )
-
-
 __all__ = [
     "DEFAULT_GAIN_LABELS",
     "DEFAULT_GAIN_SETTINGS",
     "GainOutcome",
     "ablation_pid_experiment",
-    "run_ablation_pid",
 ]

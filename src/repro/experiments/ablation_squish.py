@@ -128,25 +128,7 @@ def ablation_squish_experiment(
     return result
 
 
-def run_ablation_squish(
-    importances: Sequence[float] = DEFAULT_IMPORTANCES,
-    *,
-    sim_seconds: float = 8.0,
-    config: Optional[ControllerConfig] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``ablation_squish``
-    experiment."""
-    return ablation_squish_experiment(
-        importances=importances,
-        sim_seconds=sim_seconds,
-        seed=seed,
-        config=config,
-    )
-
-
 __all__ = [
     "DEFAULT_IMPORTANCES",
     "ablation_squish_experiment",
-    "run_ablation_squish",
 ]

@@ -141,30 +141,10 @@ def figure5_experiment(
     return result
 
 
-def run_figure5(
-    process_counts: Sequence[int] = DEFAULT_PROCESS_COUNTS,
-    *,
-    controller_period_us: int = 10_000,
-    sim_seconds: float = 2.0,
-    config: Optional[ControllerConfig] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper; the canonical entry is the registered
-    ``figure5`` experiment (see :mod:`repro.experiments.registry`)."""
-    return figure5_experiment(
-        process_counts=process_counts,
-        controller_period_us=controller_period_us,
-        sim_seconds=sim_seconds,
-        seed=seed,
-        config=config,
-    )
-
-
 __all__ = [
     "DEFAULT_PROCESS_COUNTS",
     "PAPER_INTERCEPT",
     "PAPER_OVERHEAD_AT_40",
     "PAPER_SLOPE",
     "figure5_experiment",
-    "run_figure5",
 ]

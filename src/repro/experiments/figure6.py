@@ -213,28 +213,9 @@ def figure6_experiment(
     return result
 
 
-def run_figure6(
-    *,
-    config: Optional[ControllerConfig] = None,
-    params: Optional[PulseParameters] = None,
-    schedule: Optional[PulseSchedule] = None,
-    extra_seconds: float = 1.0,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``figure6`` experiment."""
-    return figure6_experiment(
-        config=config,
-        params=params,
-        schedule=schedule,
-        extra_seconds=extra_seconds,
-        seed=seed,
-    )
-
-
 __all__ = [
     "PAPER_RESPONSE_TIME_S",
     "figure6_experiment",
-    "run_figure6",
     "small_figure6_schedule",
     "_collect",
     "_instrument",

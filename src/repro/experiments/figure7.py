@@ -144,24 +144,4 @@ def figure7_experiment(
     return result
 
 
-def run_figure7(
-    *,
-    config: Optional[ControllerConfig] = None,
-    params: Optional[PulseParameters] = None,
-    schedule: Optional[PulseSchedule] = None,
-    hog_importance: float = 1.0,
-    extra_seconds: float = 1.0,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``figure7`` experiment."""
-    return figure7_experiment(
-        config=config,
-        params=params,
-        schedule=schedule,
-        hog_importance=hog_importance,
-        extra_seconds=extra_seconds,
-        seed=seed,
-    )
-
-
-__all__ = ["figure7_experiment", "run_figure7"]
+__all__ = ["figure7_experiment"]

@@ -169,30 +169,9 @@ def figure8_experiment(
     return result
 
 
-def run_figure8(
-    frequencies_hz: Sequence[float] = DEFAULT_FREQUENCIES_HZ,
-    *,
-    sim_seconds: float = 2.0,
-    dispatch_cost_us: float = CALIBRATED_BASE_COST_US,
-    dispatch_cost_quadratic_us: float = CALIBRATED_QUADRATIC_COST_US,
-    config: Optional[ControllerConfig] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``figure8`` experiment."""
-    return figure8_experiment(
-        frequencies_hz=frequencies_hz,
-        sim_seconds=sim_seconds,
-        dispatch_cost_us=dispatch_cost_us,
-        dispatch_cost_quadratic_us=dispatch_cost_quadratic_us,
-        seed=seed,
-        config=config,
-    )
-
-
 __all__ = [
     "DEFAULT_FREQUENCIES_HZ",
     "PAPER_KNEE_HZ",
     "PAPER_OVERHEAD_AT_KNEE",
     "figure8_experiment",
-    "run_figure8",
 ]

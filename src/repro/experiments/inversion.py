@@ -115,16 +115,4 @@ def inversion_experiment(
     return result
 
 
-def run_inversion_comparison(
-    *,
-    sim_seconds: float = 10.0,
-    config: Optional[ControllerConfig] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``inversion`` experiment."""
-    return inversion_experiment(
-        sim_seconds=sim_seconds, seed=seed, config=config
-    )
-
-
-__all__ = ["inversion_experiment", "run_inversion_comparison"]
+__all__ = ["inversion_experiment"]

@@ -21,9 +21,9 @@ tags, a typed parameter schema with defaults/bounds and quick-mode
 overrides — and registers it in the module-level :data:`REGISTRY`.
 Everything downstream (the ``python -m repro`` CLI, the sweep runner,
 the benchmarks and the figure-reproduction example) enumerates and runs
-experiments through the registry instead of importing ``run_*``
-functions by hand; the historical ``run_*`` entry points remain as thin
-back-compat wrappers around the registered functions.
+experiments through the registry; the decorated functions stay directly
+callable for code that wants to pass non-CLI arguments such as a
+``ControllerConfig``.
 
 Parameter values arriving from the command line are strings; each
 :class:`Param` knows how to parse its ``kind`` (``int``, ``float``,

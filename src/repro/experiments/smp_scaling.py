@@ -154,29 +154,4 @@ def smp_scaling_experiment(
     return result
 
 
-def run_smp_scaling(
-    *,
-    config: Optional[ControllerConfig] = None,
-    cpu_counts: Sequence[int] = DEFAULT_CPU_COUNTS,
-    n_servers: int = 8,
-    requests_per_second: float = 150.0,
-    service_cpu_us: int = 1_500,
-    duration_s: float = 3.0,
-    pin: bool = False,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``smp_scaling``
-    experiment (whose sweep parameter is named ``n_cpus``)."""
-    return smp_scaling_experiment(
-        n_cpus=cpu_counts,
-        n_servers=n_servers,
-        requests_per_second=requests_per_second,
-        service_cpu_us=service_cpu_us,
-        duration_s=duration_s,
-        pin=pin,
-        seed=seed,
-        config=config,
-    )
-
-
-__all__ = ["DEFAULT_CPU_COUNTS", "run_smp_scaling", "smp_scaling_experiment"]
+__all__ = ["DEFAULT_CPU_COUNTS", "smp_scaling_experiment"]

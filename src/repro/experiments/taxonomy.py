@@ -137,16 +137,4 @@ def taxonomy_experiment(
     return result
 
 
-def run_taxonomy(
-    *,
-    sim_seconds: float = 10.0,
-    config: Optional[ControllerConfig] = None,
-    seed: Optional[int] = None,
-) -> ExperimentResult:
-    """Back-compat wrapper around the registered ``taxonomy`` experiment."""
-    return taxonomy_experiment(
-        sim_seconds=sim_seconds, seed=seed, config=config
-    )
-
-
-__all__ = ["run_taxonomy", "taxonomy_experiment"]
+__all__ = ["taxonomy_experiment"]

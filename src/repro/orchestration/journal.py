@@ -55,8 +55,8 @@ def result_fingerprint(payload: Mapping[str, Any]) -> str:
     Hashes the ``metrics`` and ``metadata`` sections (canonical JSON),
     which ``(experiment, params, seed)`` fully determine — envelope
     fields like ``repro_version`` stay out so a version bump does not
-    read as nondeterminism.  Payloads without either section (e.g.
-    bench records) hash whole.  Computable even for payloads that fail
+    read as nondeterminism.  Payloads without either section hash
+    whole.  Computable even for payloads that fail
     schema validation, which is what lets a retry be compared against
     a corrupted earlier attempt.
     """

@@ -1,7 +1,7 @@
 """The wire-format checker: versioned, round-trippable serialisation.
 
 Every persisted artifact in the repo — experiment results, golden
-traces, bench records, sweep manifests — travels as a dict from a
+traces, fault plans, sweep manifests — travels as a dict from a
 ``to_dict`` method and is re-read (possibly releases later) by a
 ``from_dict``.  The contract, established by
 :class:`repro.analysis.results.ExperimentResult`, has three legs:

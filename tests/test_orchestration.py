@@ -28,7 +28,6 @@ from repro.orchestration import (
     load_journal,
     orchestrate_sweep,
     result_fingerprint,
-    run_journaled_serial,
     tear_journal_tail,
 )
 
@@ -386,57 +385,4 @@ class TestOrchestrateSweep:
         with pytest.raises(JournalError, match="--resume"):
             orchestrate_sweep(
                 "figure8", GRID, quick=True, journal_path=journal_path
-            )
-
-
-# ----------------------------------------------------------------------
-# journaled serial runs (the bench contract)
-# ----------------------------------------------------------------------
-class TestRunJournaledSerial:
-    def test_skips_settled_units_on_resume(self, tmp_path):
-        journal_path = str(tmp_path / "bench.partial.jsonl")
-        ran = []
-
-        def run_one(index, key):
-            ran.append(key)
-            if key == "b":
-                raise KeyboardInterrupt
-            return {"unit": key}
-
-        with pytest.raises(OrchestrationInterrupted):
-            run_journaled_serial(
-                ["a", "b", "c"], run_one,
-                journal_path=journal_path, run_kind="bench",
-                fingerprint={"units": ["a", "b", "c"]},
-            )
-        assert ran == ["a", "b"]
-
-        def run_one_resumed(index, key):
-            ran.append(key)
-            return {"unit": key}
-
-        payloads, resumed = run_journaled_serial(
-            ["a", "b", "c"], run_one_resumed,
-            journal_path=journal_path, run_kind="bench",
-            fingerprint={"units": ["a", "b", "c"]}, resume=True,
-        )
-        assert resumed == 1
-        assert ran == ["a", "b", "b", "c"]  # "a" never re-ran
-        assert payloads == {
-            "a": {"unit": "a"}, "b": {"unit": "b"}, "c": {"unit": "c"}
-        }
-
-    def test_fingerprint_pins_the_configuration(self, tmp_path):
-        journal_path = str(tmp_path / "bench.partial.jsonl")
-        with pytest.raises(OrchestrationInterrupted):
-            run_journaled_serial(
-                ["a"], lambda i, k: (_ for _ in ()).throw(KeyboardInterrupt),
-                journal_path=journal_path, run_kind="bench",
-                fingerprint={"repeats": 3},
-            )
-        with pytest.raises(JournalError, match="fingerprint"):
-            run_journaled_serial(
-                ["a"], lambda i, k: {"unit": k},
-                journal_path=journal_path, run_kind="bench",
-                fingerprint={"repeats": 5}, resume=True,
             )

@@ -219,26 +219,3 @@ class TestSpecRun:
                 params=(Param("a", kind="int"), Param("a", kind="int")),
                 registry=registry,
             )
-
-
-class TestBackCompatWrappers:
-    def test_run_wrappers_match_registry_results(self):
-        from repro.experiments.figure8 import run_figure8
-
-        via_wrapper = run_figure8(
-            frequencies_hz=(100, 1_000, 4_000), sim_seconds=0.2
-        )
-        via_registry = REGISTRY.run(
-            "figure8",
-            {"frequencies_hz": "100,1000,4000", "sim_seconds": "0.2"},
-        )
-        assert via_wrapper.metrics == via_registry.metrics
-
-    def test_smp_wrapper_maps_cpu_counts_to_n_cpus(self):
-        from repro.experiments.smp_scaling import run_smp_scaling
-
-        result = run_smp_scaling(
-            cpu_counts=(2,), n_servers=2, requests_per_second=60.0,
-            duration_s=0.4,
-        )
-        assert "served_rps_2cpu" in result.metrics

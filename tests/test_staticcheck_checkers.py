@@ -139,7 +139,7 @@ def test_atomic_write_checker_flags_every_raw_write_shape():
     }
     messages = "\n".join(f.message for f in findings)
     assert "write_atomic" in messages
-    assert "append_durable" in messages
+    assert "DurableAppender" in messages
 
 
 def test_atomic_write_checker_accepts_reads_and_the_helpers():

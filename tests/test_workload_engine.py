@@ -331,6 +331,36 @@ class TestWorkloadEngine:
         assert reserved.completed > 0
         assert best_effort.completed > 0
 
+    def test_open_churn_run_completes_and_counts_lifetimes(self):
+        """Poisson best-effort plus periodic reserved jobs, 200 ms.
+
+        Every completed job must be an exited kernel thread: the
+        engine's per-stream counts and the kernel's thread states agree.
+        """
+        kernel = Kernel(ReservationScheduler())
+        engine = WorkloadEngine(kernel)
+        misc = engine.add_stream(
+            "misc",
+            PoissonArrivals(450.0, seed=41),
+            JobTemplate("misc", total_cpu_us=1_200, burst_us=600, think_us=500),
+        )
+        rt = engine.add_stream(
+            "rt",
+            DeterministicArrivals(4_000),
+            JobTemplate(
+                "rt", total_cpu_us=800, burst_us=400, think_us=300,
+                reservation=(50, 10_000),
+            ),
+        )
+        engine.start()
+        kernel.run_for(200_000)
+        exited = sum(
+            1 for thread in kernel.threads if thread.state is ThreadState.EXITED
+        )
+        assert exited > 50
+        assert exited == misc.completed + rt.completed
+        assert len(kernel.threads) >= exited
+
     def test_tagged_trace_selects_templates(self):
         kernel, engine = self._bare()
         trace = TraceArrivals.parse("0 a\n1000 b\n2000\n")
