@@ -42,14 +42,12 @@ def test_simulate_one_second_pulse_pipeline(benchmark):
     assert dispatches > 200
 
 
-@pytest.mark.benchmark(group="micro")
-def test_controller_update_cost_40_threads(benchmark):
-    """Cost of one allocator update over 40 controlled threads."""
+def _controller_update_cost(benchmark, n_threads: int) -> None:
     scheduler = ReservationScheduler()
     kernel = Kernel(scheduler, charge_dispatch_overhead=False)
     registry = SymbioticRegistry()
     allocator = ProportionAllocator(scheduler, registry, ControllerConfig())
-    for i in range(40):
+    for i in range(n_threads):
         thread = kernel.spawn(f"t{i}", _spin)
         allocator.register(thread, ThreadSpec())
     clock = {"now": 0}
@@ -59,7 +57,21 @@ def test_controller_update_cost_40_threads(benchmark):
         return allocator.update(clock["now"])
 
     decisions = benchmark(update)
-    assert len(decisions) == 40
+    assert len(decisions) == n_threads
+
+
+@pytest.mark.benchmark(group="micro")
+def test_controller_update_cost_40_threads(benchmark):
+    """Cost of one allocator update over 40 controlled threads."""
+    _controller_update_cost(benchmark, 40)
+
+
+@pytest.mark.benchmark(group="micro")
+def test_controller_update_cost_3_threads(benchmark):
+    """Cost of one allocator update over 3 controlled threads: the
+    per-tick fixed cost a small system (Figure 7's three controlled
+    threads) pays."""
+    _controller_update_cost(benchmark, 3)
 
 
 @pytest.mark.benchmark(group="micro")

@@ -30,10 +30,9 @@ from typing import Optional
 
 from repro.core.config import PROPORTION_SCALE, ControllerConfig
 from repro.core.errors import AdmissionError, ControllerError, QualityException
-from repro.core.estimator import ProportionEstimator
+from repro.core.estimator import ProportionEstimator, tick_law
 from repro.core.overload import (
     SquishPolicy,
-    SquishRequest,
     WeightedFairShareSquish,
     check_admission_smp,
 )
@@ -79,18 +78,22 @@ class _ControlledThread:
     sampler: ProgressSampler
     period_estimator: Optional[PeriodEstimator] = None
     current_ppt: int = 0
-    current_period_us: int = 0
-    last_class: Optional[ThreadClass] = None
-    #: Registry version at which ``last_class`` was derived;
-    #: classification only changes when a linkage is added or removed,
-    #: so it is cached between registry changes.
+    #: Registry version at which the thread's class (kept on its
+    #: decision) was derived; classification only changes when a
+    #: linkage is added or removed, so it is cached between registry
+    #: changes, together with what follows from it (see
+    #: :meth:`ProportionAllocator._reclassify`).
     class_version: int = -1
+    #: Whether the class's proportion comes from the estimator
+    #: (real-rate and miscellaneous) rather than the spec.
+    estimated: bool = False
+    #: The period rule's result for the class, or ``None`` when the
+    #: period estimator supplies the period every tick.
+    fixed_period_us: Optional[int] = None
     #: Per-thread decision object, mutated in place every tick (one
     #: decision exists per controlled thread per tick by construction,
     #: so reuse saves a nine-field dataclass build per thread-tick).
     decision: Optional[AllocationDecision] = None
-    #: Reusable squish proposal for the overload path.
-    squish_request: Optional[SquishRequest] = None
 
 
 class ProportionAllocator:
@@ -127,6 +130,12 @@ class ProportionAllocator:
         )
         self.usage_monitor = UsageMonitor()
         self.misc_pressure_source = ConstantPressureSource(self.config.misc_pressure)
+        #: The estimation law's constants.  Like the squish floor and the
+        #: misc pressure above they derive from the config once: building
+        #: them every tick would also hand the trace a fresh float object
+        #: per tick wherever the PID output clamps.
+        self._dt = self.config.controller_period_s
+        self._law = tick_law(self.config, self._dt)
         self.quality_exceptions: list[QualityException] = []
         self.updates = 0
         self._controlled: dict[int, _ControlledThread] = {}
@@ -292,53 +301,160 @@ class ProportionAllocator:
         decision exists per thread per tick.  Read them before the next
         update; a caller that wants a history must copy the fields it
         cares about, not retain the objects.
+
+        A tick is three passes over the controlled threads: one decide
+        loop for every thread class, the overload squish (only when the
+        desired total exceeds the threshold) and one batched write of
+        every reservation.
         """
-        dt = self.config.controller_period_s
+        config = self.config
+        dt = self._dt
+        law = self._law
         self.updates += 1
         self._drop_exited()
-
-        decide = self._decide
         states = list(self._controlled.values())
-        decisions = [decide(state, now, dt) for state in states]
 
-        self._resolve_overload(decisions, now)
+        # Constants of the per-thread loop.
+        version = self.registry.version
+        usage_last = self.usage_monitor._last
+        misc_pressure = self.misc_pressure_source.pressure
+        min_ppt = config.min_proportion_ppt
+        max_ppt = config.max_proportion_ppt
+        real_rate = ThreadClass.REAL_RATE
 
-        # ``decisions`` is index-aligned with ``states`` (both walk the
-        # registration-ordered dict), so actuation avoids a dict lookup
-        # per thread.
-        scheduler = self.scheduler
-        for state, decision in zip(states, decisions):
-            scheduler.set_reservation(
-                state.thread, decision.granted_ppt, decision.period_us, now=now
-            )
-            state.current_ppt = decision.granted_ppt
-            state.current_period_us = decision.period_us
+        decisions: list[AllocationDecision] = []
+        threads: list[SimThread] = []
+        granted: list[int] = []
+        periods: list[int] = []
+        total_desired = 0
+        for state in states:
+            if state.class_version != version:
+                self._reclassify(state, version)
+            decision = state.decision
+            decision.squished = False
+            decision._saturation = None
+            thread = state.thread
+            # Usage sampling (UsageMonitor.sample, inlined): one dict
+            # probe and three integer ops per thread-tick.  Real-time
+            # threads are sampled too, so the monitor's bookkeeping
+            # stays continuous.
+            tid = thread.tid
+            total = thread.accounting.total_us
+            previous = usage_last.get(tid)
+            usage_last[tid] = (total, now)
+            current_ppt = state.current_ppt
+            period = state.fixed_period_us
+
+            if state.estimated:
+                # Real-rate and miscellaneous threads: the estimator.
+                if decision.thread_class is real_rate:
+                    sample = state.sampler.sample()
+                    if sample is None:
+                        pressure_raw = 0.0
+                        fill_level = None
+                    else:
+                        pressure_raw = sample.raw
+                        fill_level = sample.mean_fill
+                else:
+                    sample = None
+                    pressure_raw = misc_pressure
+                    fill_level = None
+                if previous is None:
+                    used = 0
+                    interval = 0
+                else:
+                    used = total - previous[0]
+                    if used < 0:
+                        used = 0
+                    interval = now - previous[1]
+                    if interval < 0:
+                        interval = 0
+                desired_ppt, cumulative, reclaimed = state.estimator.estimate_tick(
+                    pressure_raw,
+                    used,
+                    interval,
+                    interval * current_ppt // 1000,
+                    current_ppt,
+                    dt,
+                    law,
+                )
+                decision.pressure_raw = pressure_raw
+                decision.cumulative_pressure = cumulative
+                decision.reclaimed = reclaimed
+                if period is None:
+                    period = state.period_estimator.update(
+                        current_ppt or min_ppt, fill_level
+                    ).period_us
+                if state.spec.interactive:
+                    # Interactive jobs: "assigning them a small period
+                    # and estimating their proportion by measuring the
+                    # amount of time they typically run before
+                    # blocking".  Their input queues are empty almost
+                    # all the time, so the fill-level feedback alone
+                    # would park them at the floor; the run-before-block
+                    # heuristic reserves enough to serve one typical
+                    # burst within each (small) period.
+                    burst_us = thread.accounting.run_before_block_ema_us
+                    if burst_us > 0:
+                        heuristic_ppt = int(
+                            round(1.5 * burst_us * PROPORTION_SCALE / period)
+                        )
+                        heuristic_ppt = min(max_ppt, heuristic_ppt)
+                        desired_ppt = max(desired_ppt, heuristic_ppt)
+                if sample is not None and sample.per_channel:
+                    # A quality exception is only warranted when a queue
+                    # saturated in the direction that means this thread
+                    # is falling behind (signed pressure at its
+                    # maximum): a consumer's queue completely full, or a
+                    # producer's queue completely empty.
+                    if max(sample.per_channel.values()) >= 0.45:
+                        if sample.saturated_full:
+                            decision._saturation = "full"
+                        elif sample.saturated_empty:
+                            decision._saturation = "empty"
+            else:
+                # Real-time and aperiodic real-time: the specified
+                # proportion, kept exactly.
+                desired_ppt = state.spec.proportion_ppt
+                decision.pressure_raw = None
+                decision.cumulative_pressure = None
+                decision.reclaimed = False
+
+            decision.desired_ppt = desired_ppt
+            decision.granted_ppt = desired_ppt
+            decision.period_us = period
+            total_desired += desired_ppt
+            decisions.append(decision)
+            threads.append(thread)
+            granted.append(desired_ppt)
+            periods.append(period)
+
+        threshold = config.overload_threshold_total_ppt(self.capacity_cpus)
+        if total_desired > threshold:
+            self._resolve_overload(states, decisions, granted, threshold, now)
+
+        self.scheduler.set_reservations(threads, granted, periods, now=now)
+        for state, proportion_ppt in zip(states, granted):
+            state.current_ppt = proportion_ppt
         return decisions
 
-    # ------------------------------------------------------------------
-    # per-thread decision
-    # ------------------------------------------------------------------
-    def _decide(
-        self, state: _ControlledThread, now: int, dt: float
-    ) -> AllocationDecision:
-        spec = state.spec
-        thread = state.thread
-        registry = self.registry
-        # Classification is a pure function of the (immutable) spec and
-        # the registry's linkage knowledge; re-derive it only when a
-        # linkage was added or removed.
-        version = registry.version
-        if state.class_version == version:
-            thread_class = state.last_class
-        else:
-            thread_class = classify(spec, registry.has_progress_metric(thread))
-            state.last_class = thread_class
-            state.class_version = version
+    def _reclassify(self, state: _ControlledThread, version: int) -> None:
+        """Derive ``state``'s class, and what follows from it, at
+        registry ``version``.
 
-        decision = state.decision
-        if decision is None:
-            decision = state.decision = AllocationDecision(
-                thread=thread,
+        Classification is a pure function of the spec and the
+        registry's linkage knowledge, so the allocator caches it until
+        a linkage is added or removed.
+        """
+        thread_class = classify(
+            state.spec, self.registry.has_progress_metric(state.thread)
+        )
+        state.class_version = version
+        state.estimated = not thread_class.has_reservation_spec
+        state.fixed_period_us = self._period_rule(state, thread_class)
+        if state.decision is None:
+            state.decision = AllocationDecision(
+                thread=state.thread,
                 thread_class=thread_class,
                 pressure_raw=None,
                 cumulative_pressure=None,
@@ -347,140 +463,43 @@ class ProportionAllocator:
                 period_us=0,
             )
         else:
-            decision.thread_class = thread_class
-            decision.squished = False
-            decision.reclaimed = False
-            decision._saturation = None
+            state.decision.thread_class = thread_class
 
+    def _period_rule(
+        self, state: _ControlledThread, thread_class: ThreadClass
+    ) -> Optional[int]:
+        """The one period rule.
+
+        A real-time thread keeps its specified period.  Otherwise an
+        interactive job gets the interactive period, then a specified
+        period wins, then the period estimator's adapted period
+        (real-rate threads, when adaptation is on; ``None`` here, as the
+        estimator decides it every tick), then the default.
+        """
+        spec = state.spec
         if thread_class is ThreadClass.REAL_TIME:
-            # Keep the reservation exactly as specified; usage is still
-            # sampled so the monitor's bookkeeping stays continuous.
-            self.usage_monitor.sample(thread, now, state.current_ppt)
-            decision.pressure_raw = None
-            decision.cumulative_pressure = None
-            decision.desired_ppt = spec.proportion_ppt
-            decision.granted_ppt = spec.proportion_ppt
-            decision.period_us = spec.period_us
-            return decision
-
-        if thread_class is ThreadClass.APERIODIC_REAL_TIME:
-            self.usage_monitor.sample(thread, now, state.current_ppt)
-            period = self._period_for(state, thread_class, fill_level=None)
-            decision.pressure_raw = None
-            decision.cumulative_pressure = None
-            decision.desired_ppt = spec.proportion_ppt
-            decision.granted_ppt = spec.proportion_ppt
-            decision.period_us = period
-            return decision
-
-        # Real-rate and miscellaneous threads go through the estimator.
-        if thread_class is ThreadClass.REAL_RATE:
-            sample = state.sampler.sample()
-            pressure_raw = sample.raw if sample is not None else 0.0
-            fill_level = sample.mean_fill if sample is not None else None
-        else:
-            sample = None
-            pressure_raw = self.misc_pressure_source.pressure
-            fill_level = None
-
-        current_ppt = state.current_ppt
-        # Usage sampling (UsageMonitor.sample) inlined: one dict probe
-        # and three integer ops per thread-tick, no sample object.
-        tid = thread.tid
-        total = thread.accounting.total_us
-        monitor_last = self.usage_monitor._last
-        previous = monitor_last.get(tid)
-        if previous is None:
-            used = 0
-            interval = 0
-        else:
-            used = total - previous[0]
-            if used < 0:
-                used = 0
-            interval = now - previous[1]
-            if interval < 0:
-                interval = 0
-        monitor_last[tid] = (total, now)
-        allocated = interval * current_ppt // 1000
-        desired_ppt, cumulative, reclaimed = state.estimator.estimate_tick(
-            pressure_raw, used, interval, allocated, current_ppt, dt
-        )
-        # _period_for, inlined (one branch cascade per thread-tick).
-        config = self.config
+            return spec.period_us
         if spec.interactive:
-            period = config.interactive_period_us
-        elif spec.period_us is not None:
-            period = spec.period_us
-        elif (
+            return self.config.interactive_period_us
+        if spec.period_us is not None:
+            return spec.period_us
+        if (
             state.period_estimator is not None
             and thread_class is ThreadClass.REAL_RATE
         ):
-            period = state.period_estimator.update(
-                current_ppt or config.min_proportion_ppt, fill_level
-            ).period_us
-        else:
-            period = config.default_period_us
-        if spec.interactive:
-            # Interactive jobs: "assigning them a small period and
-            # estimating their proportion by measuring the amount of
-            # time they typically run before blocking".  Their input
-            # queues are empty almost all the time, so the fill-level
-            # feedback alone would park them at the floor; the
-            # run-before-block heuristic reserves enough to serve one
-            # typical burst within each (small) period.
-            burst_us = thread.accounting.run_before_block_ema_us
-            if burst_us > 0:
-                heuristic_ppt = int(
-                    round(1.5 * burst_us * PROPORTION_SCALE / period)
-                )
-                heuristic_ppt = min(self.config.max_proportion_ppt, heuristic_ppt)
-                desired_ppt = max(desired_ppt, heuristic_ppt)
-        decision.pressure_raw = pressure_raw
-        decision.cumulative_pressure = cumulative
-        decision.desired_ppt = desired_ppt
-        decision.granted_ppt = desired_ppt
-        decision.period_us = period
-        decision.reclaimed = reclaimed
-        # A quality exception is only warranted when a queue saturated in
-        # the direction that means this thread is falling behind (signed
-        # pressure at its maximum): a consumer's queue completely full,
-        # or a producer's queue completely empty.
-        if sample is not None and sample.per_channel:
-            behind = max(sample.per_channel.values())
-            if behind >= 0.45 and (sample.saturated_full or sample.saturated_empty):
-                saturation = "full" if sample.saturated_full else "empty"
-                decision._saturation = saturation
-        return decision
-
-    def _representative_fill(self, state: _ControlledThread) -> Optional[float]:
-        linkages = state.sampler.linkages()
-        if not linkages:
             return None
-        # Average across the thread's queues; a single-queue thread (the
-        # common case) just reports that queue's fill level.
-        return sum(l.channel.fill_level() for l in linkages) / len(linkages)
-
-    def _period_for(
-        self,
-        state: _ControlledThread,
-        thread_class: ThreadClass,
-        fill_level: Optional[float],
-    ) -> int:
-        spec = state.spec
-        if spec.interactive:
-            return self.config.interactive_period_us
-        if spec.specifies_period:
-            return spec.period_us
-        if state.period_estimator is not None and thread_class is ThreadClass.REAL_RATE:
-            proportion = state.current_ppt or self.config.min_proportion_ppt
-            return state.period_estimator.update(proportion, fill_level).period_us
         return self.config.default_period_us
 
     # ------------------------------------------------------------------
     # overload resolution
     # ------------------------------------------------------------------
     def _resolve_overload(
-        self, decisions: list[AllocationDecision], now: int
+        self,
+        states: list[_ControlledThread],
+        decisions: list[AllocationDecision],
+        granted: list[int],
+        threshold: int,
+        now: int,
     ) -> None:
         """Fit the proposed allocations under the overload threshold.
 
@@ -497,86 +516,78 @@ class ProportionAllocator:
            says "give me whatever is spare" — share the residual via
            the (weighted) fair-share squish policy, never dropping
            below the minimum proportion (starvation freedom).
-        """
-        total_desired = sum(d.desired_ppt for d in decisions)
-        threshold = self.config.overload_threshold_total_ppt(self.capacity_cpus)
-        if total_desired <= threshold:
-            return
 
-        # Single pass over the decisions (this runs on every tick while
-        # the system is overloaded).  Squishable == real-rate or
-        # miscellaneous, so the three buckets partition the classes.
+        ``states``, ``decisions`` and ``granted`` are index-aligned;
+        squished grants are written to both the decision and
+        ``granted``.
+        """
+        # Squishable == real-rate or miscellaneous, so the three
+        # buckets partition the classes.
         protected = 0
-        real_rate: list[AllocationDecision] = []
-        misc: list[AllocationDecision] = []
-        real_rate_total = 0
-        for d in decisions:
-            thread_class = d.thread_class
-            if thread_class is ThreadClass.REAL_RATE:
-                real_rate.append(d)
-                real_rate_total += d.desired_ppt
-            elif thread_class is ThreadClass.MISCELLANEOUS:
-                misc.append(d)
+        real_rate: list[int] = []
+        misc: list[int] = []
+        real_rate_class = ThreadClass.REAL_RATE
+        misc_class = ThreadClass.MISCELLANEOUS
+        for i, decision in enumerate(decisions):
+            thread_class = decision.thread_class
+            if thread_class is misc_class:
+                misc.append(i)
+            elif thread_class is real_rate_class:
+                real_rate.append(i)
             else:
-                protected += d.desired_ppt
+                protected += decision.desired_ppt
         available = max(0, threshold - protected)
+        # ``granted`` still holds the desired proportions here.
+        real_rate_total = sum([granted[i] for i in real_rate])
         if real_rate_total > available:
-            self._apply_squish(real_rate, available, now)
+            self._apply_squish(real_rate, states, decisions, granted, available, now)
             misc_available = 0
         else:
             misc_available = available - real_rate_total
-        self._apply_squish(misc, misc_available, now)
+        self._apply_squish(misc, states, decisions, granted, misc_available, now)
 
     def _apply_squish(
         self,
+        indices: list[int],
+        states: list[_ControlledThread],
         decisions: list[AllocationDecision],
+        granted: list[int],
         available_ppt: int,
         now: int,
     ) -> None:
-        if not decisions:
+        """Squish the bucket ``indices`` (into the tick's index-aligned
+        lists) into ``available_ppt``."""
+        if not indices:
             return
-        controlled = self._controlled
-        requests = []
-        append = requests.append
-        for d in decisions:
-            state = controlled[d.thread.tid]
-            request = state.squish_request
-            if request is None:
-                request = state.squish_request = SquishRequest(
-                    key=d.thread.tid,
-                    desired_ppt=d.desired_ppt,
-                    importance=state.spec.importance,
-                )
-            else:
-                # Reused proposal: only the desired proportion moves
-                # tick to tick (the key is the tid and the importance
-                # comes from the immutable spec).
-                request.desired_ppt = d.desired_ppt
-                request.importance = state.spec.importance
-            append(request)
-        grants = self.squish_policy.squish(requests, max(0, available_ppt))
-        for decision in decisions:
-            granted = grants.get(decision.thread.tid, decision.desired_ppt)
-            if granted < decision.desired_ppt:
-                decision.granted_ppt = max(self.config.min_proportion_ppt, granted)
+        desired = [granted[i] for i in indices]
+        grants = self.squish_policy.squish_lists(
+            desired, [states[i].spec.importance for i in indices], available_ppt
+        )
+        min_ppt = self.config.min_proportion_ppt
+        for i, want, got in zip(indices, desired, grants):
+            if got < want:
+                if got < min_ppt:
+                    got = min_ppt
+                granted[i] = got
+                decision = decisions[i]
+                decision.granted_ppt = got
                 decision.squished = True
-                self._maybe_quality_exception(decision, now)
+                if decision._saturation is not None:
+                    self._quality_exception(decision, states[i].spec, now)
 
-    def _maybe_quality_exception(self, decision: AllocationDecision, now: int) -> None:
-        saturation = decision._saturation
-        if saturation is None:
-            return
+    def _quality_exception(
+        self, decision: AllocationDecision, spec: ThreadSpec, now: int
+    ) -> None:
         exception = QualityException(
             time_us=now,
             thread=decision.thread,
-            reason=f"queue {saturation} while overloaded",
+            reason=f"queue {decision._saturation} while overloaded",
             desired_ppt=decision.desired_ppt,
             granted_ppt=decision.granted_ppt,
         )
         self.quality_exceptions.append(exception)
-        callback = self._controlled[decision.thread.tid].spec.quality_callback
-        if callback is not None:
-            callback(exception)
+        if spec.quality_callback is not None:
+            spec.quality_callback(exception)
 
     # ------------------------------------------------------------------
     # actuation
@@ -592,7 +603,6 @@ class ProportionAllocator:
             state.thread, proportion_ppt, period_us, now=now
         )
         state.current_ppt = proportion_ppt
-        state.current_period_us = period_us
 
     def _drop_exited(self) -> None:
         # Inline the is_live property: this runs over every controlled

@@ -102,9 +102,12 @@ class ControllerDriver:
         self.measured_wall_ns_total = 0
         self.last_decisions: list[AllocationDecision] = []
         self._overhead_remainder = 0.0
-        #: tid -> [alloc series, pressure series or None, pressure
-        #: label]; resolves the label f-strings and the tracer's name
-        #: lookup once per thread instead of twice per tick.
+        #: tid -> [alloc time appender, alloc value appender, pressure
+        #: time appender or None, pressure value appender or None,
+        #: pressure label]; resolves the label f-strings and the
+        #: tracer's name lookup once per thread instead of twice per
+        #: tick.  The tick time only grows, so the appenders can skip
+        #: TraceSeries.append's ordering check.
         self._trace_series: dict[int, list] = {}
         #: Cached "alloc:total" series, created on first use so a
         #: driver that never ticks leaves no empty series behind.
@@ -153,18 +156,21 @@ class ControllerDriver:
                     # through Tracer.record — threads that never report
                     # a pressure must not leave an empty series behind.
                     entry = cache[thread.tid] = [
-                        tracer.series(f"alloc:{thread.name}"),
+                        *tracer.series(f"alloc:{thread.name}").column_appenders(),
+                        None,
                         None,
                         f"pressure:{thread.name}",
                     ]
                 granted = decision.granted_ppt
                 total_granted += granted
-                entry[0].append(now, granted)
-                if decision.cumulative_pressure is not None:
-                    pressure_series = entry[1]
-                    if pressure_series is None:
-                        pressure_series = entry[1] = tracer.series(entry[2])
-                    pressure_series.append(now, decision.cumulative_pressure)
+                entry[0](now)
+                entry[1](float(granted))
+                pressure = decision.cumulative_pressure
+                if pressure is not None:
+                    if entry[2] is None:
+                        entry[2:4] = tracer.series(entry[4]).column_appenders()
+                    entry[2](now)
+                    entry[3](float(pressure))
             # Aggregate grant, for eyeballing total load against the
             # kernel's capacity of n_cpus * PROPORTION_SCALE.
             total_series = self._total_series

@@ -25,7 +25,7 @@ property.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from repro.core.config import PROPORTION_SCALE, ControllerConfig
 from repro.monitor.usage import UsageSample
@@ -44,19 +44,91 @@ class EstimateResult(NamedTuple):
     reclaimed: bool
 
 
+#: Time constant of the low-pass filter on the PID's derivative term.
+DERIVATIVE_FILTER_S = 0.05
+
+
+class TickLaw(NamedTuple):
+    """The estimation law's constants for one controller tick.
+
+    Every estimator of one allocator shares its config, so these are
+    the same for every controlled thread and every tick: the allocator
+    computes them once with :func:`tick_law`, with the same expressions
+    the per-thread code would evaluate, and
+    :meth:`ProportionEstimator.estimate_tick` takes them instead of
+    re-deriving them per thread.
+    """
+
+    kp: float
+    ki: float
+    kd: float
+    integral_low: Optional[float]
+    integral_high: Optional[float]
+    #: Derivative filter weight ``dt / (time_constant + dt)``.
+    filter_alpha: float
+    output_low: float
+    output_high: float
+    k_scale: float
+    min_fraction: float
+    max_fraction: float
+    min_ppt: int
+    max_ppt: int
+    unused_threshold: float
+    reclaim_decrement_ppt: int
+    #: Weights of the newest sample and of the history in the usage EMAs.
+    ema_alpha: float
+    ema_beta: float
+
+
+def tick_law(config: ControllerConfig, dt: float) -> TickLaw:
+    """The :class:`TickLaw` of ``config`` at controller period ``dt``."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    gains = config.pid_gains
+    # The PID output is a cumulative pressure; scaling by k turns it
+    # into a CPU fraction, so bounding the output at max_fraction / k
+    # bounds the desired fraction.  The integral bounds are
+    # PIDController's anti-windup clamp for these output bounds.
+    output_low = 0.0
+    output_high = config.max_fraction / config.k_scale
+    integral_low = None
+    integral_high = None
+    if gains.ki > 0:
+        integral_low = output_low / gains.ki
+        integral_high = output_high / gains.ki
+    alpha = ProportionEstimator.USAGE_EMA_ALPHA
+    return TickLaw(
+        gains.kp,
+        gains.ki,
+        gains.kd,
+        integral_low,
+        integral_high,
+        dt / (DERIVATIVE_FILTER_S + dt),
+        output_low,
+        output_high,
+        config.k_scale,
+        config.min_fraction,
+        config.max_fraction,
+        config.min_proportion_ppt,
+        config.max_proportion_ppt,
+        config.unused_threshold,
+        config.reclaim_decrement_ppt,
+        alpha,
+        1.0 - alpha,
+    )
+
+
 class ProportionEstimator:
     """Per-thread implementation of the Figure 4 estimation law."""
 
     def __init__(self, config: ControllerConfig) -> None:
         self.config = config
-        # The PID output is a cumulative pressure; scaling by k turns it
-        # into a CPU fraction, so bounding the output at
-        # max_fraction / k bounds the desired fraction (and, through the
-        # integral clamp inside PIDController, provides anti-windup).
+        # The output and integral bounds are the ones tick_law derives.
         self.pid = PIDController(
             config.pid_gains,
             output_low=0.0,
             output_high=config.max_fraction / config.k_scale,
+            derivative_filter_s=DERIVATIVE_FILTER_S,
         )
         self.last_desired_ppt = config.min_proportion_ppt
         self.reclaim_count = 0
@@ -135,6 +207,7 @@ class ProportionEstimator:
         allocated_us: int,
         current_ppt: int,
         dt: float,
+        law: Optional[TickLaw] = None,
     ) -> tuple[int, float, bool]:
         """Fused fast path of :meth:`estimate` for the controller tick.
 
@@ -145,26 +218,31 @@ class ProportionEstimator:
         cumulative_pressure, reclaimed)`` tuple — the allocator runs
         this once per controlled thread per tick, so the per-call
         object constructions and method dispatches of the unfused path
-        are measurable.  ``tests/test_core_estimator_period.py`` pins
-        the two paths bit-identical over randomized histories.
+        are measurable.  ``law`` is ``tick_law(self.config, dt)``,
+        which the allocator computes once rather than per thread; it is
+        computed here when omitted.
+        ``tests/test_core_estimator_period.py`` pins the two paths
+        bit-identical over randomized histories.
         """
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        config = self.config
+        if law is None:
+            law = tick_law(self.config, dt)
+        (
+            kp, ki, kd, integral_low, integral_high, filter_alpha,
+            output_low, output_high, k_scale, min_fraction, max_fraction,
+            min_ppt, max_ppt, unused_threshold, reclaim_decrement_ppt,
+            ema_alpha, ema_beta,
+        ) = law
         # -- PIDController.step, inlined (same arithmetic, same order) --
         pid = self.pid
-        gains = pid.gains
-        proportional = gains.kp * pressure_raw
+        proportional = kp * pressure_raw
         integrator = pid._integrator
         value = integrator.value + pressure_raw * dt
-        limit_high = integrator.limit_high
-        if limit_high is not None and value > limit_high:
-            value = limit_high
-        limit_low = integrator.limit_low
-        if limit_low is not None and value < limit_low:
-            value = limit_low
+        if integral_high is not None and value > integral_high:
+            value = integral_high
+        if integral_low is not None and value < integral_low:
+            value = integral_low
         integrator.value = value
-        integral = gains.ki * value
+        integral = ki * value
         differentiator = pid._differentiator
         previous = differentiator._previous
         if previous is None:
@@ -173,46 +251,40 @@ class ProportionEstimator:
             derivative_raw = (pressure_raw - previous) / dt
         differentiator._previous = pressure_raw
         lpf = pid._derivative_filter
-        if lpf is not None:
-            if not lpf._primed:
-                lpf.value = derivative_raw
-                lpf._primed = True
-            else:
-                alpha = dt / (lpf.time_constant_s + dt)
-                lpf.value += alpha * (derivative_raw - lpf.value)
-            derivative_raw = lpf.value
-        cumulative = proportional + integral + gains.kd * derivative_raw
-        output_high = pid.output_high
-        if output_high is not None and cumulative > output_high:
+        if not lpf._primed:
+            lpf.value = derivative_raw
+            lpf._primed = True
+        else:
+            lpf.value += filter_alpha * (derivative_raw - lpf.value)
+        cumulative = proportional + integral + kd * lpf.value
+        if cumulative > output_high:
             cumulative = output_high
-        output_low = pid.output_low
-        if output_low is not None and cumulative < output_low:
+        if cumulative < output_low:
             cumulative = output_low
         pid.last_output = cumulative
         pid.last_error = pressure_raw
         pid.steps += 1
 
         # -- estimate body: reclaim rule and clamps --
-        desired_fraction = config.k_scale * cumulative
+        desired_fraction = k_scale * cumulative
         reclaimed = False
         too_generous = False
         if allocated_us > 0 and interval_us > 0:
             ratio = used_us / allocated_us
             if ratio > 2.0:
                 ratio = 2.0
-            alpha = self.USAGE_EMA_ALPHA
-            beta = 1.0 - alpha
-            self._usage_ratio_ema = alpha * ratio + beta * self._usage_ratio_ema
+            self._usage_ratio_ema = ema_alpha * ratio + ema_beta * self._usage_ratio_ema
             self._used_fraction_ema = (
-                alpha * (used_us / interval_us) + beta * self._used_fraction_ema
+                ema_alpha * (used_us / interval_us)
+                + ema_beta * self._used_fraction_ema
             )
-            if current_ppt > config.min_proportion_ppt:
+            if current_ppt > min_ppt:
                 ema = self._usage_ratio_ema
                 unused = 1.0 - (1.0 if ema > 1.0 else ema)
-                too_generous = unused > config.unused_threshold
+                too_generous = unused > unused_threshold
         if too_generous:
             reclaim_fraction = (
-                current_ppt - config.reclaim_decrement_ppt
+                current_ppt - reclaim_decrement_ppt
             ) / PROPORTION_SCALE
             used_ema = self._used_fraction_ema
             if used_ema > reclaim_fraction:
@@ -222,22 +294,20 @@ class ProportionEstimator:
                 reclaimed = True
                 self.reclaim_count += 1
                 # _wind_down_to, inlined.
-                if gains.ki > 0:
-                    target_output = desired_fraction / config.k_scale
+                if ki > 0:
+                    target_output = desired_fraction / k_scale
                     if target_output < 0.0:
                         target_output = 0.0
-                    integrator.value = target_output / gains.ki
-        min_fraction = config.min_fraction
+                    integrator.value = target_output / ki
         if desired_fraction < min_fraction:
             desired_fraction = min_fraction
-        max_fraction = config.max_fraction
         if desired_fraction > max_fraction:
             desired_fraction = max_fraction
-        desired_ppt = int(round(desired_fraction * PROPORTION_SCALE))
-        min_ppt = config.min_proportion_ppt
+        # round() of a float is already an int: int(round(x)) without
+        # the second conversion.
+        desired_ppt = round(desired_fraction * PROPORTION_SCALE)
         if desired_ppt < min_ppt:
             desired_ppt = min_ppt
-        max_ppt = config.max_proportion_ppt
         if desired_ppt > max_ppt:
             desired_ppt = max_ppt
         self.last_desired_ppt = desired_ppt
@@ -285,4 +355,4 @@ class ProportionEstimator:
         self._used_fraction_ema = 0.0
 
 
-__all__ = ["EstimateResult", "ProportionEstimator"]
+__all__ = ["EstimateResult", "ProportionEstimator", "TickLaw", "tick_law"]

@@ -57,8 +57,11 @@ class SquishPolicy(ABC):
         self.min_proportion_ppt = min_proportion_ppt
 
     @abstractmethod
-    def weights(self, requests: list[SquishRequest]) -> list[float]:
-        """Relative weights used to share the available budget."""
+    def weights(
+        self, desired_ppt: list[int], importance: list[float]
+    ) -> list[float]:
+        """Relative weights used to share the available budget, one per
+        proposal (``desired_ppt`` and ``importance`` are parallel)."""
 
     def squish(
         self, requests: list[SquishRequest], available_ppt: int
@@ -74,63 +77,84 @@ class SquishPolicy(ABC):
         """
         if not requests:
             return {}
-        total_desired = sum(r.desired_ppt for r in requests)
-        if total_desired <= available_ppt:
-            return {r.key: r.desired_ppt for r in requests}
+        grants = self.squish_lists(
+            [r.desired_ppt for r in requests],
+            [r.importance for r in requests],
+            available_ppt,
+        )
+        return {r.key: granted for r, granted in zip(requests, grants)}
+
+    def squish_lists(
+        self,
+        desired_ppt: list[int],
+        importance: list[float],
+        available_ppt: int,
+    ) -> list[int]:
+        """:meth:`squish` on parallel lists: the grants, index-aligned
+        with ``desired_ppt``.  The one water-filling implementation; the
+        controller calls it directly, building no request objects."""
+        if sum(desired_ppt) <= available_ppt:
+            return list(desired_ppt)
 
         available = max(0, available_ppt)
-        grants: dict[int, int] = {}
-        remaining = list(requests)
+        grants = [0] * len(desired_ppt)
+        # A proposal's weight does not depend on the others, so one
+        # list serves every round.
+        weights = self.weights(desired_ppt, importance)
+        remaining = list(range(len(desired_ppt)))
+        total_weight = sum(weights)
         # Iterative water-filling: grant proportionally to weight, cap at
         # the proposal, and redistribute leftover budget from capped
-        # requests to the rest.
-        while remaining and available > 0:
-            weights = self.weights(remaining)
-            total_weight = sum(weights)
-            if total_weight <= 0:
-                break
-            capped: list[SquishRequest] = []
-            next_round: list[SquishRequest] = []
+        # proposals to the rest.  An uncapped proposal's share is only
+        # final in a round where nobody capped; proposals still
+        # remaining when the budget runs out are granted zero.
+        while remaining and available > 0 and total_weight > 0:
+            next_round: list[int] = []
             used = 0
-            for request, weight in zip(remaining, weights):
-                share = int(available * weight / total_weight)
-                if share >= request.desired_ppt:
-                    grants[request.key] = request.desired_ppt
-                    used += request.desired_ppt
-                    capped.append(request)
+            for i in remaining:
+                share = int(available * weights[i] / total_weight)
+                want = desired_ppt[i]
+                if share >= want:
+                    share = want
+                    used += want
                 else:
-                    next_round.append(request)
-            if not capped:
-                # Nobody capped: hand out the proportional shares directly.
-                for request, weight in zip(remaining, weights):
-                    grants[request.key] = int(available * weight / total_weight)
+                    next_round.append(i)
+                grants[i] = share
+            if len(next_round) == len(remaining):
                 remaining = []
-                available = 0
                 break
             available -= used
             remaining = next_round
-        for request in remaining:
-            grants.setdefault(request.key, 0)
+            total_weight = sum([weights[i] for i in remaining])
+        for i in remaining:
+            grants[i] = 0
         # Starvation freedom: every thread keeps at least the minimum.
-        for request in requests:
-            floor = min(self.min_proportion_ppt, request.desired_ppt)
-            if grants.get(request.key, 0) < floor:
-                grants[request.key] = floor
+        minimum = self.min_proportion_ppt
+        for i, want in enumerate(desired_ppt):
+            floor = minimum if minimum < want else want
+            if grants[i] < floor:
+                grants[i] = floor
         return grants
 
 
 class FairShareSquish(SquishPolicy):
     """Scale every proposal by the same factor (plain fair share)."""
 
-    def weights(self, requests: list[SquishRequest]) -> list[float]:
-        return [float(r.desired_ppt) for r in requests]
+    def weights(
+        self, desired_ppt: list[int], importance: list[float]
+    ) -> list[float]:
+        return [float(want) for want in desired_ppt]
 
 
 class WeightedFairShareSquish(SquishPolicy):
     """Scale proposals by importance-weighted size (weighted fair share)."""
 
-    def weights(self, requests: list[SquishRequest]) -> list[float]:
-        return [float(r.desired_ppt) * r.importance for r in requests]
+    def weights(
+        self, desired_ppt: list[int], importance: list[float]
+    ) -> list[float]:
+        return [
+            float(want) * weight for want, weight in zip(desired_ppt, importance)
+        ]
 
 
 def check_admission(

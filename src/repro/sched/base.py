@@ -86,11 +86,14 @@ class LazyMinHeap:
     O(log n) amortised.
     """
 
-    __slots__ = ("_heap", "_live")
+    __slots__ = ("_heap", "_live", "_staged")
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []
         self._live: dict[int, tuple] = {}
+        #: Whether a :meth:`stage` batch may have left live entries the
+        #: backing list does not hold yet (see :meth:`rebuild`).
+        self._staged = False
 
     def __len__(self) -> int:
         return len(self._live)
@@ -119,6 +122,34 @@ class LazyMinHeap:
             # internal arrangement cannot affect any pick sequence.
             self._heap = list(self._live.values())
             heapq.heapify(self._heap)
+
+    def live_map(self) -> dict[int, tuple]:
+        """The tid -> live entry map, for membership tests in hot
+        loops.  Read-only: writes go through :meth:`push` or
+        :meth:`stage`."""
+        return self._live
+
+    def stage(self) -> dict[int, tuple]:
+        """Start a batched re-key and return the live map.
+
+        The batched form of :meth:`push`: the caller stores each
+        re-keyed entry in the returned map (``live[tid] = entry``)
+        instead of pushing it, then calls :meth:`rebuild` once before
+        the next :meth:`peek` or :meth:`pop` — until then the backing
+        list may lack staged entries.
+        """
+        self._staged = True
+        return self._live
+
+    def rebuild(self) -> None:
+        """Heapify the live entries if a :meth:`stage` batch ran since
+        the last rebuild.  Pop order is a total order over the entry
+        tuples, so the rebuilt arrangement yields the same sequence the
+        equivalent pushes would have."""
+        if self._staged:
+            self._heap = list(self._live.values())
+            heapq.heapify(self._heap)
+            self._staged = False
 
     def discard(self, tid: int) -> None:
         """Invalidate ``tid``'s live entry (no-op if absent)."""
@@ -168,6 +199,7 @@ class LazyMinHeap:
     def clear(self) -> None:
         self._heap.clear()
         self._live.clear()
+        self._staged = False
 
 
 class RunQueue:

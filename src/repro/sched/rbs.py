@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.sched.base import LazyMinHeap, Scheduler
 from repro.sim.errors import SchedulerError
@@ -237,59 +237,33 @@ class ReservationScheduler(Scheduler):
         change proportion and period": actuation does not reset
         accounting, it simply changes the budget going forward.
         """
-        if thread.tid not in self._run_queue:
-            raise SchedulerError(
-                f"thread {thread.name!r} is not registered with this scheduler"
+        self._write(((thread, proportion_ppt, period_us),), now, self._rm_heap.push)
+        return self._reservations[thread.tid]
+
+    def set_reservations(
+        self,
+        threads: Sequence[SimThread],
+        proportions_ppt: Sequence[int],
+        periods_us: Sequence[int],
+        *,
+        now: Optional[int] = None,
+    ) -> None:
+        """:meth:`set_reservation` for many threads at once, in order.
+
+        The controller's actuation: each ``(thread, proportion,
+        period)`` triple is routed exactly as :meth:`set_reservation`
+        routes it, but a re-keyed ready-heap entry is only staged in the
+        heap's live map, and the heap is rebuilt once for the whole
+        batch instead of taking one push per thread.
+        """
+        try:
+            self._write(
+                zip(threads, proportions_ppt, periods_us),
+                now,
+                self._rm_heap.stage().__setitem__,
             )
-        proportion_ppt = int(proportion_ppt)
-        period_us = int(period_us)
-        current = thread.sched_data.get(self.SCHED_KEY)
-        if current is None:
-            if now is None:
-                now = self.kernel.now if self.kernel is not None else 0
-            reservation = Reservation(
-                proportion_ppt=proportion_ppt,
-                period_us=period_us,
-                period_start=now,
-            )
-            thread.sched_data[self.SCHED_KEY] = reservation
-            thread.policy = SchedulingPolicy.RESERVATION
-            self._best_effort.pop(thread.tid, None)
-            self._track_reservation(thread, reservation)
-            return reservation
-        if (
-            proportion_ppt == current.proportion_ppt
-            and period_us == current.period_us
-        ):
-            # The controller re-actuating unchanged values is the common
-            # case; nothing about eligibility or ordering moved.
-            return current
-        # Same bounds (and error messages) as Reservation.__post_init__,
-        # without building a throwaway instance on the actuation path.
-        if not 0 <= proportion_ppt <= PROPORTION_SCALE:
-            raise SchedulerError(
-                f"proportion must be in [0, {PROPORTION_SCALE}] parts per "
-                f"thousand, got {proportion_ppt}"
-            )
-        if period_us <= 0:
-            raise SchedulerError(
-                f"period must be positive, got {period_us}us"
-            )
-        self._reserved_ppt_total += proportion_ppt - current.proportion_ppt
-        current.proportion_ppt = proportion_ppt
-        if period_us != current.period_us:
-            if now is None:
-                now = self.kernel.now if self.kernel is not None else 0
-            current.period_us = period_us
-            current.period_start = now
-            current.used_in_period_us = 0
-            # The window was reset: route through a full pick-time
-            # reclassification (also refreshes any replenishment entry
-            # keyed by the old window's end).
-            self._reexamine(thread)
-        else:
-            self._requeue_resized(thread, current)
-        return current
+        finally:
+            self._rm_heap.rebuild()
 
     def clear_reservation(self, thread: SimThread) -> None:
         """Demote ``thread`` to best-effort scheduling."""
@@ -338,6 +312,115 @@ class ReservationScheduler(Scheduler):
     # ------------------------------------------------------------------
     # internal bookkeeping
     # ------------------------------------------------------------------
+    def _write(
+        self,
+        writes: Iterable[tuple[SimThread, int, int]],
+        now: Optional[int],
+        rekey: Callable[[int, tuple], None],
+    ) -> None:
+        """The one reservation-write routing rule, applied in order to
+        ``(thread, proportion_ppt, period_us)`` triples.
+
+        ``rekey(tid, entry)`` installs a re-keyed ready-heap entry: the
+        heap's ``push`` for :meth:`set_reservation`, a store into its
+        staged live map for :meth:`set_reservations`.
+        """
+        reservations = self._reservations
+        pending_set = self._pending_set
+        on_ready_heap = self._rm_heap.live_map()
+        key = self.SCHED_KEY
+        for thread, proportion_ppt, period_us in writes:
+            tid = thread.tid
+            proportion_ppt = int(proportion_ppt)
+            period_us = int(period_us)
+            # Only registered threads hold a tracked reservation.
+            current = reservations.get(tid)
+            if current is None:
+                if tid not in self._run_queue:
+                    raise SchedulerError(
+                        f"thread {thread.name!r} is not registered with this "
+                        f"scheduler"
+                    )
+                if now is None:
+                    now = self.kernel.now if self.kernel is not None else 0
+                reservation = Reservation(
+                    proportion_ppt=proportion_ppt,
+                    period_us=period_us,
+                    period_start=now,
+                )
+                thread.sched_data[key] = reservation
+                thread.policy = SchedulingPolicy.RESERVATION
+                self._best_effort.pop(tid, None)
+                self._track_reservation(thread, reservation)
+                continue
+            if (
+                proportion_ppt == current.proportion_ppt
+                and period_us == current.period_us
+            ):
+                # The controller re-actuating unchanged values is the
+                # common case; nothing about eligibility or ordering
+                # moved.
+                continue
+            # Same bounds (and error messages) as
+            # Reservation.__post_init__, without building a throwaway
+            # instance on the actuation path.
+            if not 0 <= proportion_ppt <= PROPORTION_SCALE:
+                raise SchedulerError(
+                    f"proportion must be in [0, {PROPORTION_SCALE}] parts per "
+                    f"thousand, got {proportion_ppt}"
+                )
+            if period_us <= 0:
+                raise SchedulerError(
+                    f"period must be positive, got {period_us}us"
+                )
+            self._reserved_ppt_total += proportion_ppt - current.proportion_ppt
+            current.proportion_ppt = proportion_ppt
+            if period_us != current.period_us:
+                if now is None:
+                    now = self.kernel.now if self.kernel is not None else 0
+                current.period_us = period_us
+                current.period_start = now
+                current.used_in_period_us = 0
+                # The window was reset: route through a full pick-time
+                # reclassification (also refreshes any replenishment
+                # entry keyed by the old window's end).
+                self._reexamine(thread)
+                continue
+            # A proportion-only change, the common controller
+            # actuation.  Where the routing outcome is already
+            # determined it is applied in place, skipping the deferred
+            # classification:
+            #
+            # * already queued for examination — nothing to do, the
+            #   pending pass reads the fresh values;
+            # * on the ready heap and still unexhausted — only the heap
+            #   key changed (``exhausted`` can only flip towards
+            #   eligible when the window rolls, so an unexhausted stale
+            #   window stays unexhausted);
+            # * throttled and still exhausted — the replenishment key
+            #   (``period_end``) did not move, so the entry stands.
+            #
+            # Every other combination (flipped exhaustion, blocked
+            # threads) defers to pick time exactly like the scan-based
+            # code did.
+            if tid in pending_set:
+                continue
+            exhausted = current.used_in_period_us >= (
+                period_us * proportion_ppt // PROPORTION_SCALE
+            )
+            if tid in on_ready_heap:
+                if exhausted:
+                    self._reexamine(thread)
+                else:
+                    rekey(tid, (period_us, -proportion_ppt, tid))
+            elif tid in self._replenish:
+                if not exhausted:
+                    self._reexamine(thread)
+            else:
+                state = thread.state
+                if state is ThreadState.READY or state is ThreadState.RUNNING:
+                    self._reexamine(thread)
+
     def _track_reservation(self, thread: SimThread, reservation: Reservation) -> None:
         """Start tracking ``reservation`` in the aggregate counters and
         queue the thread for pick-time classification."""
@@ -355,48 +438,6 @@ class ReservationScheduler(Scheduler):
         if tid not in self._pending_set:
             self._pending_set.add(tid)
             self._pending.append(tid)
-
-    def _requeue_resized(self, thread: SimThread, reservation: Reservation) -> None:
-        """Re-queue after a proportion-only change (period untouched).
-
-        The common controller actuation.  Where the routing outcome is
-        already determined it is applied in place, skipping the deferred
-        classification:
-
-        * already queued for examination — nothing to do, the pending
-          pass reads the fresh values;
-        * on the ready heap and still unexhausted — only the heap key
-          changed (``exhausted`` can only flip towards eligible when the
-          window rolls, so an unexhausted stale window stays
-          unexhausted);
-        * throttled and still exhausted — the replenishment key
-          (``period_end``) did not move, so the entry stands.
-
-        Every other combination (flipped exhaustion, blocked threads)
-        defers to pick time exactly like the scan-based code did.
-        """
-        tid = thread.tid
-        if tid in self._pending_set:
-            return
-        exhausted = reservation.used_in_period_us >= (
-            reservation.period_us * reservation.proportion_ppt // PROPORTION_SCALE
-        )
-        if tid in self._rm_heap:
-            if not exhausted:
-                self._rm_heap.push(
-                    tid,
-                    (reservation.period_us, -reservation.proportion_ppt, tid),
-                )
-            else:
-                self._reexamine(thread)
-            return
-        if tid in self._replenish:
-            if not exhausted:
-                self._reexamine(thread)
-            return
-        state = thread.state
-        if state is ThreadState.READY or state is ThreadState.RUNNING:
-            self._reexamine(thread)
 
     def _rebuild_best_effort(self) -> None:
         reservations = self._reservations

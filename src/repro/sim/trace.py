@@ -72,6 +72,18 @@ class TraceSeries:
         times.append(int(time_us))
         self._values.append(float(value))
 
+    def column_appenders(
+        self,
+    ) -> tuple[Callable[[int], None], Callable[[float], None]]:
+        """The raw time and value column appenders.
+
+        For a hot writer that already guarantees what :meth:`append`
+        checks and converts — non-decreasing ``int`` times, ``float``
+        values — and appends to both columns together: the controller
+        driver's once-per-tick samples.
+        """
+        return self._times.append, self._values.append
+
     def times(self) -> list[int]:
         """All sample times in microseconds."""
         return list(self._times)

@@ -307,3 +307,96 @@ class TestControllerDriver:
         system.spawn_controlled("hog", spin_body())
         system.kernel.run_for(100_000)
         assert system.driver.measured_wall_us_per_invocation() > 0
+
+
+class TestMixedClassTick:
+    """200 controller ticks over every thread class, pinned bit for bit.
+
+    The fingerprint below is the tracer digest (every allocation and
+    pressure series) the allocator produced before its tick became one
+    decide loop, a list-based squish and a batched reservation write.
+    The scenario covers what the benchmark digests do not: real-time,
+    aperiodic real-time, real-rate (queue) and interactive threads next
+    to miscellaneous ones, period adaptation, a linkage added and later
+    removed mid-run (reclassifying a thread twice), a thread that exits,
+    overload squishing and quality exceptions.
+    """
+
+    FINGERPRINT = "06f8a776d0ea752866395efe1174ae66f305fa568aa36f53bd9d6bd9c5af7574"
+
+    @staticmethod
+    def _run():
+        from repro.workloads.interactive import InteractiveJob
+
+        system = build_real_rate_system(
+            ControllerConfig(adapt_period=True, interactive_period_us=15_000),
+            record_dispatches=True,
+        )
+        callbacks = []
+
+        def producer(env):
+            while True:
+                yield Compute(500)
+                yield Put(queue, 64)
+
+        def consumer(env):
+            while True:
+                yield Get(queue, 64)
+                yield Compute(1_500)
+
+        def finite(env):
+            for _ in range(20):
+                yield Compute(1_000)
+
+        def side_producer(env):
+            while True:
+                yield Compute(300)
+                yield Put(side, 32)
+
+        def side_consumer(env):
+            while True:
+                yield Get(side, 32)
+                yield Compute(800)
+
+        rt = system.spawn_controlled(
+            "rt", producer, spec=ThreadSpec(proportion_ppt=150, period_us=10_000)
+        )
+        system.spawn_controlled(
+            "aperiodic", spin_body(), spec=ThreadSpec(proportion_ppt=60)
+        )
+        rr = system.spawn_controlled(
+            "rr", consumer, spec=ThreadSpec(quality_callback=callbacks.append)
+        )
+        queue = system.open_queue("q", rt, rr, capacity_bytes=2_048)
+        system.spawn_controlled("hog", spin_body())
+        system.spawn_controlled("hog2", spin_body(), spec=ThreadSpec(importance=3.0))
+        system.spawn_controlled("finite", finite)
+        late = system.spawn_controlled("late", side_consumer)
+        side = BoundedBuffer("side", 1_024)
+        side_rt = system.spawn_controlled(
+            "side_rt",
+            side_producer,
+            spec=ThreadSpec(proportion_ppt=40, period_us=20_000),
+        )
+        InteractiveJob.attach(
+            system, "ui", mean_think_time_us=40_000, burst_cpu_us=2_000, seed=7
+        )
+        system.run_for(700_000)
+        system.link(side_rt, side, Role.PRODUCER)
+        system.link(late, side, Role.CONSUMER)
+        system.run_for(700_000)
+        system.registry.unregister_channel(side)
+        system.run_for(600_000)
+        return system, callbacks
+
+    def test_fingerprint_pinned_over_200_ticks(self):
+        system, callbacks = self._run()
+        assert system.driver.invocations == 200
+        assert system.kernel.tracer.fingerprint() == self.FINGERPRINT
+        # What the scenario claims to cover, it does.
+        decisions = system.driver.last_decisions
+        assert {d.thread_class for d in decisions} == set(ThreadClass)
+        assert "finite" not in {d.thread.name for d in decisions}
+        assert {d.thread.name: d.period_us for d in decisions}["ui.job"] == 15_000
+        assert any(d.squished for d in decisions)
+        assert system.allocator.quality_exceptions and callbacks

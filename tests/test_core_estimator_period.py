@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ControllerConfig
-from repro.core.estimator import ProportionEstimator
+from repro.core.estimator import ProportionEstimator, tick_law
 from repro.core.period import PeriodEstimator
 from repro.monitor.usage import UsageSample
+from repro.swift.pid import PIDGains
 
 
 def usage(used_us: int, interval_us: int, allocated_ppt: int) -> UsageSample:
@@ -251,6 +252,29 @@ class TestEstimateTickEquivalence:
             assert fused._used_fraction_ema == unfused._used_fraction_ema
             assert fused.reclaim_count == unfused.reclaim_count
             assert fused.last_desired_ppt == unfused.last_desired_ppt
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ControllerConfig(),
+            ControllerConfig(k_scale=4.0, max_proportion_ppt=700),
+            ControllerConfig(pid_gains=PIDGains(kp=0.5, ki=0.0, kd=0.0)),
+        ],
+    )
+    def test_tick_law_matches_the_pid_it_replaces(self, config):
+        """The hoisted constants are the per-estimator PID's own."""
+        pid = ProportionEstimator(config).pid
+        dt = config.controller_period_s
+        law = tick_law(config, dt)
+        assert (law.kp, law.ki, law.kd) == (
+            pid.gains.kp, pid.gains.ki, pid.gains.kd,
+        )
+        assert (law.integral_low, law.integral_high) == (
+            pid._integrator.limit_low, pid._integrator.limit_high,
+        )
+        assert (law.output_low, law.output_high) == (pid.output_low, pid.output_high)
+        lpf = pid._derivative_filter
+        assert law.filter_alpha == dt / (lpf.time_constant_s + dt)
 
     def test_fused_path_rejects_bad_dt(self):
         estimator = ProportionEstimator(ControllerConfig())

@@ -1,6 +1,8 @@
 """Unit tests for admission control and the squish policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import ControllerConfig
 from repro.core.errors import AdmissionError
@@ -107,6 +109,100 @@ class TestWeightedFairShareSquish:
         grants = policy.squish(requests, available_ppt=600)
         assert grants[1] == 100          # capped at its own desire
         assert grants[2] >= 400          # leftover goes to the other request
+
+
+def _request_water_filling(policy, requests, available_ppt):
+    """The request-object water-filling the list core replaced, kept as
+    an oracle: weights recomputed per round over the remaining
+    requests, grants in a dict, remaining requests granted zero."""
+    total_desired = sum(r.desired_ppt for r in requests)
+    if total_desired <= available_ppt:
+        return {r.key: r.desired_ppt for r in requests}
+    available = max(0, available_ppt)
+    grants = {}
+    remaining = list(requests)
+    while remaining and available > 0:
+        weights = policy.weights(
+            [r.desired_ppt for r in remaining], [r.importance for r in remaining]
+        )
+        total_weight = sum(weights)
+        if total_weight <= 0:
+            break
+        capped, next_round, used = [], [], 0
+        for request, weight in zip(remaining, weights):
+            share = int(available * weight / total_weight)
+            if share >= request.desired_ppt:
+                grants[request.key] = request.desired_ppt
+                used += request.desired_ppt
+                capped.append(request)
+            else:
+                next_round.append(request)
+        if not capped:
+            for request, weight in zip(remaining, weights):
+                grants[request.key] = int(available * weight / total_weight)
+            remaining = []
+            break
+        available -= used
+        remaining = next_round
+    for request in remaining:
+        grants.setdefault(request.key, 0)
+    for request in requests:
+        floor = min(policy.min_proportion_ppt, request.desired_ppt)
+        if grants.get(request.key, 0) < floor:
+            grants[request.key] = floor
+    return grants
+
+
+class TestSquishListsCore:
+    """``squish_lists`` (what the controller calls) equals ``squish``
+    (the request-object contract) and the historical request-based
+    water-filling, for both policies."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        proposals=st.lists(
+            st.tuples(
+                # Sizes around the floor exercise the floor lifting.
+                st.one_of(
+                    st.integers(min_value=0, max_value=10),
+                    st.integers(min_value=0, max_value=1_000),
+                ),
+                st.floats(min_value=0.01, max_value=100.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+        available=st.one_of(
+            st.just(0),
+            st.integers(min_value=-50, max_value=3_000),
+        ),
+        minimum=st.integers(min_value=0, max_value=40),
+    )
+    def test_list_core_equals_squish_and_oracle(self, proposals, available, minimum):
+        desired = [want for want, _ in proposals]
+        importance = [weight for _, weight in proposals]
+        requests = [
+            SquishRequest(key, want, weight)
+            for key, (want, weight) in enumerate(proposals)
+        ]
+        for policy in (FairShareSquish(minimum), WeightedFairShareSquish(minimum)):
+            grants = policy.squish_lists(desired, importance, available)
+            by_key = policy.squish(requests, available)
+            assert grants == [by_key[key] for key in range(len(requests))]
+            assert by_key == _request_water_filling(policy, requests, available)
+
+    def test_floor_lifts_a_zero_share(self):
+        # With no budget every grant is lifted to min(floor, desired).
+        policy = FairShareSquish(5)
+        assert policy.squish_lists([900, 3, 0], [1.0, 1.0, 1.0], 0) == [5, 3, 0]
+
+    def test_capped_proposal_frees_budget_for_the_rest(self):
+        # Round 1: the small proposal's share covers it; the rest is
+        # re-shared between the two large ones.
+        policy = WeightedFairShareSquish(1)
+        assert policy.squish_lists([50, 600, 600], [10.0, 1.0, 1.0], 500) == [
+            50, 225, 225,
+        ]
 
 
 class TestAdmissionControl:
