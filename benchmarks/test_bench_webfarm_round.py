@@ -70,11 +70,11 @@ def test_placement_assignment_16_threads(benchmark):
     threads = [SimThread(f"t{i}") for i in range(16)]
     threads[3].pin_to(1)
     threads[11].pin_to(3)
-    weights = {t.tid: float(50 + 100 * (i % 5)) for i, t in enumerate(threads)}
+    weights = [float(50 + 100 * (i % 5)) for i in range(len(threads))]
     policy = LeastLoadedPlacement()
 
     def assign():
-        return policy.assign(threads, 4, lambda t: weights[t.tid])
+        return policy.assign(threads, weights, 4, (0, 1, 2, 3))
 
     mapping = benchmark(assign)
     assert set(mapping) == {t.tid for t in threads}

@@ -25,6 +25,7 @@ system and models its own CPU cost.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,7 +35,7 @@ from repro.core.estimator import ProportionEstimator, tick_law
 from repro.core.overload import (
     SquishPolicy,
     WeightedFairShareSquish,
-    check_admission_smp,
+    check_admission,
 )
 from repro.core.period import PeriodEstimator
 from repro.core.taxonomy import ThreadClass, ThreadSpec, classify
@@ -155,26 +156,25 @@ class ProportionAllocator:
     def register(self, thread: SimThread, spec: Optional[ThreadSpec] = None) -> None:
         """Place ``thread`` under control of the allocator.
 
-        Real-time specs (proportion and period both given) go through
-        admission control and are actuated immediately, because a
-        reservation must hold from the moment it is accepted, not from
-        the next controller tick.  On a multiprocessor admission is a
-        partitioned-schedulability test (:func:`check_admission_smp`):
-        the placement policy's greedy packing of all live real-time
-        reservations — pinned ones on their CPU — must still fit the
-        request under some CPU's admission threshold.
+        Real-time specs (a proportion given) go through admission
+        control and are actuated immediately, because a reservation
+        must hold from the moment it is accepted, not from the next
+        controller tick.  Admission (:func:`check_admission`) certifies
+        one packing: the default placement's least-loaded packing of
+        the live real-time reservations plus this one, on the online
+        CPUs, keeps every online CPU's real-time total at or under the
+        admission threshold.  On one CPU that is the paper's test.
         """
         if thread.tid in self._controlled:
             raise ControllerError(f"thread {thread.name!r} is already controlled")
         spec = spec if spec is not None else ThreadSpec()
-        if spec.specifies_proportion:
-            check_admission_smp(
+        if spec.proportion_ppt is not None:
+            check_admission(
                 self.config,
                 self._real_time_reservations(),
-                spec.proportion_ppt,
-                thread.affinity,
-                thread.name,
-                n_cpus=self.capacity_cpus,
+                (spec.proportion_ppt, thread.tid, thread.affinity, thread.name),
+                n_cpus=self.scheduler.n_cpus,
+                online=self.scheduler.online_cpus,
             )
         state = _ControlledThread(
             thread=thread,
@@ -206,22 +206,25 @@ class ProportionAllocator:
         pass admission control right now.
 
         The open-system workload engine's admission-on-arrival check:
-        the same partitioned-schedulability test :meth:`register` runs
-        (so a ``True`` answer guarantees the immediately following
-        ``register`` succeeds — the simulation is single-threaded), but
-        returning a verdict instead of raising, so a rejected arrival
-        is an expected outcome, not an exception.  Capacity freed by an
-        exited job is visible immediately: the test only counts *live*
-        real-time reservations.
+        the packing test :meth:`register` runs, returning a verdict
+        instead of raising, so a rejected arrival is an expected
+        outcome, not an exception.  No thread exists yet, so the
+        request ranks after every live reservation of its size, as the
+        thread created next would (tids only grow); for that thread a
+        ``True`` answer guarantees the immediately following
+        ``register`` succeeds (the simulation is single-threaded).
+        Capacity freed by an exited job is visible immediately: the
+        test only counts *live* real-time reservations.  A pin on an
+        offline CPU counts on the lowest online CPU, as placement puts
+        it.
         """
         try:
-            check_admission_smp(
+            check_admission(
                 self.config,
                 self._real_time_reservations(),
-                proportion_ppt,
-                affinity,
-                name,
-                n_cpus=self.capacity_cpus,
+                (proportion_ppt, sys.maxsize, affinity, name),
+                n_cpus=self.scheduler.n_cpus,
+                online=self.scheduler.online_cpus,
             )
         except AdmissionError:
             return False
@@ -278,12 +281,17 @@ class ProportionAllocator:
             )
         state.sampler = sampler
 
-    def _real_time_reservations(self) -> list[tuple[int, Optional[int]]]:
-        """Live real-time reservations as (proportion, affinity) pairs."""
+    def _real_time_reservations(self) -> list[tuple[int, int, Optional[int], str]]:
+        """Live real-time reservations as (proportion, tid, pin, name)."""
         return [
-            (state.spec.proportion_ppt, state.thread.affinity)
+            (
+                state.spec.proportion_ppt,
+                state.thread.tid,
+                state.thread.affinity,
+                state.thread.name,
+            )
             for state in self._controlled.values()
-            if state.spec.specifies_proportion and state.thread.state.is_live
+            if state.spec.proportion_ppt is not None and state.thread.state.is_live
         ]
 
     # ------------------------------------------------------------------

@@ -6,7 +6,8 @@ the threads."  Two mechanisms, as in the paper:
 
 * **Admission control** for real-time reservations: a new request is
   rejected if it would push the real-time total over the admission
-  threshold (:func:`check_admission`).
+  threshold — on an SMP kernel, the real-time load of any CPU under
+  the default placement's packing (:func:`check_admission`).
 * **Squishing** for real-rate and miscellaneous threads: their proposed
   allocations are scaled down so that, together with the protected
   real-time reservations, the total fits under the overload threshold.
@@ -27,6 +28,7 @@ from typing import Iterable, Optional
 
 from repro.core.config import ControllerConfig
 from repro.core.errors import AdmissionError
+from repro.sched.placement import pack_least_loaded
 
 
 @dataclass
@@ -157,68 +159,47 @@ class WeightedFairShareSquish(SquishPolicy):
         ]
 
 
+#: One real-time reservation as admission sees it:
+#: ``(proportion_ppt, tid, pin-or-None, name)``.
+_RealTime = tuple[int, int, Optional[int], str]
+
+
 def check_admission(
     config: ControllerConfig,
-    existing_real_time_ppt: int,
-    requested_ppt: int,
-    thread_name: str,
-) -> None:
-    """Admission control for a new real-time reservation (one CPU).
-
-    Raises :class:`AdmissionError` if accepting the request would push
-    the total of real-time reservations above the admission threshold.
-    """
-    available = config.admission_threshold_ppt - existing_real_time_ppt
-    if requested_ppt > available:
-        raise AdmissionError(
-            requested_ppt=requested_ppt,
-            available_ppt=max(0, available),
-            thread_name=thread_name,
-        )
-
-
-def check_admission_smp(
-    config: ControllerConfig,
-    existing: Iterable[tuple[int, Optional[int]]],
-    requested_ppt: int,
-    requested_affinity: Optional[int],
-    thread_name: str,
+    reservations: Iterable[_RealTime],
+    request: _RealTime,
     *,
-    n_cpus: int = 1,
+    n_cpus: int,
+    online: tuple[int, ...],
 ) -> None:
-    """Partitioned admission control for a multiprocessor.
+    """Admission control for a new real-time reservation.
 
-    A sum test against ``n_cpus * threshold`` is not sufficient on an
-    SMP: five unpinned 640 ppt reservations total 3200 ppt on four CPUs
-    yet cannot be packed without some CPU exceeding its 1000 ppt
-    capacity.  Admission therefore replays the placement policy's own
-    greedy packing (heaviest first, pinned reservations on their CPU,
-    unpinned on the least-loaded CPU) over the ``existing``
-    reservations — ``(proportion_ppt, affinity-or-None)`` pairs — and
-    admits the request only if it still fits under the per-CPU
-    admission threshold on some (or, when pinned, its) CPU.  This is a
-    sufficient test: the schedule it certifies is the one the
-    least-loaded placement actually produces.  With ``n_cpus=1`` it
-    reduces exactly to :func:`check_admission`.
+    Packs the live real-time ``reservations`` plus the ``request`` the
+    way :class:`~repro.sched.placement.LeastLoadedPlacement` places
+    them (:func:`~repro.sched.placement.pack_least_loaded`: heaviest
+    first, ties by tid, pinned ones on their CPU, the rest on the
+    least-loaded online CPU) and raises :class:`AdmissionError` if any
+    online CPU ends above the admission threshold.  On one CPU this is
+    the paper's test, the real-time total against the threshold.  On
+    an SMP kernel a sum test is not enough (five unpinned 640 ppt
+    reservations total 3200 ppt on four CPUs yet cannot be packed
+    under 1000 ppt per CPU); this one certifies the packing placement
+    produces when the real-time threads are the runnable set.
     """
-    bins = [0] * n_cpus
-    items = sorted(existing, key=lambda item: -item[0])
-    for ppt, affinity in items:
-        if affinity is not None:
-            cpu = min(affinity, n_cpus - 1)
-        else:
-            cpu = min(range(n_cpus), key=lambda c: (bins[c], c))
-        bins[cpu] += ppt
-    threshold = config.admission_threshold_ppt
-    if requested_affinity is not None:
-        available = threshold - bins[min(requested_affinity, n_cpus - 1)]
-    else:
-        available = threshold - min(bins)
-    if requested_ppt > available:
+    requested_ppt, _, _, name = request
+    _, loads = pack_least_loaded(
+        [(-ppt, tid, pin, label) for ppt, tid, pin, label in (*reservations, request)],
+        n_cpus,
+        online,
+    )
+    overflow = int(max(loads[cpu] for cpu in online)) - config.admission_threshold_ppt
+    if overflow > 0:
+        # "Available" is the request less the fullest CPU's overflow:
+        # on one CPU, the threshold minus the live real-time total.
         raise AdmissionError(
             requested_ppt=requested_ppt,
-            available_ppt=max(0, available),
-            thread_name=thread_name,
+            available_ppt=max(0, requested_ppt - overflow),
+            thread_name=name,
         )
 
 
@@ -228,5 +209,4 @@ __all__ = [
     "SquishRequest",
     "WeightedFairShareSquish",
     "check_admission",
-    "check_admission_smp",
 ]

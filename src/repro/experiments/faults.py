@@ -58,15 +58,6 @@ def _paced_worker(compute_us: int, sleep_us: int):
     return body
 
 
-def _conservation_ok(kernel: Kernel) -> bool:
-    """The extended conservation identity, including offline time."""
-    total = sum(t.accounting.total_us for t in kernel.threads)
-    return (
-        total + kernel.idle_us + kernel.stolen_us + kernel.offline_us
-        == kernel.n_cpus * kernel.now
-    )
-
-
 # ---------------------------------------------------------------------------
 # cpu_failover
 # ---------------------------------------------------------------------------
@@ -164,7 +155,7 @@ def cpu_failover_experiment(
     result.metrics["drained_threads"] = float(
         sum(1 for r in injector.log if r.kind == CPU_FAIL and r.hit)
     )
-    result.metrics["conservation_ok"] = float(_conservation_ok(kernel))
+    result.metrics["conservation_ok"] = float(kernel.conservation_ok())
     result.metrics["final_reserved_ppt"] = float(scheduler.total_reserved_ppt())
     result.metrics["pinned_back"] = float(reserved[0].affinity == fail_cpu)
     result.metadata["fault_plan"] = plan.to_dict()
@@ -307,7 +298,7 @@ def runaway_quarantine_experiment(
     result.metrics["misses_watchdog"] = float(sched_on.deadline_misses())
     result.metrics["misses_unprotected"] = float(sched_off.deadline_misses())
     result.metrics["conservation_ok"] = float(
-        _conservation_ok(kernel_on) and _conservation_ok(kernel_off)
+        kernel_on.conservation_ok() and kernel_off.conservation_ok()
     )
     result.metadata["quarantines"] = [
         {
@@ -446,7 +437,7 @@ def sensor_dropout_experiment(
     result.metrics["misses_clean"] = float(clean_system.scheduler.deadline_misses())
     result.metrics["misses_faulted"] = float(hurt_system.scheduler.deadline_misses())
     result.metrics["conservation_ok"] = float(
-        _conservation_ok(clean_system.kernel) and _conservation_ok(hurt_system.kernel)
+        clean_system.kernel.conservation_ok() and hurt_system.kernel.conservation_ok()
     )
     result.metadata["injections"] = [
         {"at_us": r.at_us, "kind": r.kind, "detail": r.detail, "hit": r.hit}

@@ -1,23 +1,24 @@
-"""Parameter-grid sweeps with parallel worker processes.
+"""Parameter-grid sweeps.
 
 A sweep takes one registered experiment and a grid of parameter values
 (``{"n_cpus": "1,2,4", "seed": "0,1,2"}``), expands the cartesian
-product into points, runs every point — serially or fanned out over a
-:class:`concurrent.futures.ProcessPoolExecutor` — and merges the
-per-point results into one schema-versioned artifact.
+product into points, runs every point and merges the per-point results
+into one schema-versioned artifact.
 
-Results cross the process boundary as
-:meth:`~repro.analysis.results.ExperimentResult.to_dict` dictionaries,
-and the merged artifact is serialized with sorted keys, so a sweep is
-byte-for-byte reproducible regardless of worker count: the simulation
-itself is deterministic, point order is the deterministic grid order,
-and workers only change *where* a point runs, never its inputs.
+:func:`run_sweep` runs the points serially in this process; it is the
+reference that the journaled, parallel
+:func:`~repro.orchestration.runner.orchestrate_sweep` (what ``repro
+sweep`` runs) must match byte for byte.  Results are merged as
+:meth:`~repro.analysis.results.ExperimentResult.to_dict` dictionaries
+and the artifact is serialized with sorted keys, so a sweep is
+reproducible regardless of worker count: the simulation itself is
+deterministic, point order is the deterministic grid order, and
+workers only change *where* a point runs, never its inputs.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Mapping, Optional, Sequence
 
 from repro._version import __version__
@@ -68,44 +69,18 @@ def expand_grid(
     return axes, points
 
 
-def _run_point(task: tuple[str, dict[str, Any], bool]) -> dict[str, Any]:
-    """Worker entry: run one grid point, return its result as a dict.
-
-    Top-level (picklable) and self-contained: it re-imports the
-    experiment modules so it works under both the ``fork`` and
-    ``spawn`` multiprocessing start methods.
-    """
-    name, overrides, quick = task
-    import repro.experiments  # noqa: F401 — populate the registry
-
-    return REGISTRY.run(name, overrides, quick=quick).to_dict()
-
-
 def run_sweep(
     name: str,
     grid: Mapping[str, Any],
     *,
-    jobs: int = 1,
     quick: bool = False,
 ) -> dict[str, Any]:
-    """Run the full grid and return the merged artifact dictionary.
-
-    ``jobs`` ≤ 1 runs every point in this process; larger values fan
-    points out over that many worker processes.  Both paths produce an
-    identical artifact.
-    """
+    """Run the full grid serially and return the merged artifact."""
     spec = REGISTRY.get(name)
     axes, points = expand_grid(spec, grid)
-    tasks = [(name, point, quick) for point in points]
-
-    if jobs <= 1 or len(tasks) <= 1:
-        result_dicts: list[Optional[dict[str, Any]]] = [
-            _run_point(task) for task in tasks
-        ]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            result_dicts = list(pool.map(_run_point, tasks))
-
+    result_dicts: list[Optional[dict[str, Any]]] = [
+        REGISTRY.run(name, point, quick=quick).to_dict() for point in points
+    ]
     return build_sweep_artifact(name, axes, points, result_dicts, quick=quick)
 
 

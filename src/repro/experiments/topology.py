@@ -124,15 +124,6 @@ def _run_pass(
     return kernel, scheduler
 
 
-def _conservation_ok(kernel: Kernel) -> bool:
-    """Extended conservation with migration penalties counted as stolen."""
-    total = sum(t.accounting.total_us for t in kernel.threads)
-    return (
-        total + kernel.idle_us + kernel.stolen_us + kernel.offline_us
-        == kernel.n_cpus * kernel.now
-    )
-
-
 @experiment(
     name="topology_placement",
     description="Flat vs topology-aware placement: migrations, migration cost, deadline misses",
@@ -224,7 +215,7 @@ def topology_placement_experiment(
         result.metrics[f"migration_ms_{label}"] = kernel.migration_us / 1_000.0
         result.metrics[f"idle_ms_{label}"] = kernel.idle_us / 1_000.0
         result.metrics[f"conservation_ok_{label}"] = float(
-            _conservation_ok(kernel)
+            kernel.conservation_ok()
         )
     result.metrics["migration_ms_saved"] = (
         flat_kernel.migration_us - aware_kernel.migration_us

@@ -313,6 +313,14 @@ class Scheduler(ABC):
         return self.kernel.n_cpus
 
     @property
+    def online_cpus(self) -> tuple[int, ...]:
+        """The attached kernel's online CPU indices, ascending (``(0,)``
+        when detached)."""
+        if self.kernel is None:
+            return (0,)
+        return self.kernel.online_cpu_indices()
+
+    @property
     def online_cpu_count(self) -> int:
         """Online CPUs of the attached kernel (1 when detached).
 
@@ -368,24 +376,15 @@ class Scheduler(ABC):
     # ------------------------------------------------------------------
     # multiprocessor placement
     # ------------------------------------------------------------------
-    def placement_weight(self, thread: SimThread) -> float:
-        """Load contribution of ``thread`` for balancing placements.
+    def placement_weights(self, threads: list[SimThread]) -> list[float]:
+        """Each thread's load contribution for balancing placements,
+        index-aligned with ``threads``.
 
         The base policy weighs every thread equally; the reservation
-        scheduler overrides this with the reserved proportion so that
-        per-CPU reserved capacity stays balanced.
+        scheduler weighs by reserved proportion so that per-CPU
+        reserved capacity stays balanced.
         """
-        return 1.0
-
-    def placement_weights(self, threads: list[SimThread]) -> list[float]:
-        """Bulk :meth:`placement_weight` for one placement round.
-
-        Placement evaluates every runnable thread's weight every
-        dispatch round; one bulk call replaces a Python method call per
-        thread.  Overrides must agree with :meth:`placement_weight`.
-        """
-        weight = self.placement_weight
-        return [weight(t) for t in threads]
+        return [1.0] * len(threads)
 
     def place_threads(self, now: int) -> dict[int, int]:
         """(Re)assign runnable threads to CPUs for the coming round.
@@ -394,16 +393,11 @@ class Scheduler(ABC):
         dispatch round.  Returns (and caches) the tid -> CPU mapping.
         """
         runnable = self.runnable_threads()
-        kernel = self.kernel
-        online: Optional[tuple[int, ...]] = None
-        if kernel is not None and kernel.offline_cpu_count:
-            online = kernel.online_cpu_indices()
         self._placement_map = self.placement.assign(
             runnable,
+            self.placement_weights(runnable),
             self.n_cpus,
-            self.placement_weight,
-            weights=self.placement_weights(runnable),
-            online=online,
+            self.online_cpus,
         )
         return self._placement_map
 

@@ -41,7 +41,14 @@ Topology-aware policies (take a
   core (the ceph-aprg trick: the two ends of a queue share L1/L2);
   threads outside any pair fall back to least-loaded balancing.
 
-Contracts every policy here honours (and new policies must):
+Every policy has one signature, ``assign(threads, weights, n_cpus,
+online)``: ``weights`` is index-aligned with ``threads`` and ``online``
+is the kernel's ascending tuple of online CPUs.  Two helpers carry the
+shared rules — :func:`pinned_cpu` (the pin rule, used by every policy)
+and :func:`least_loaded` (the balancing step, used by every balancing
+policy) — and
+:func:`pack_least_loaded`, the default policy's packing, is also what
+real-time admission control replays.  The contracts:
 
 * **Affinity** — an explicit
   :attr:`~repro.sim.thread.SimThread.affinity` is always obeyed; a
@@ -55,11 +62,10 @@ Contracts every policy here honours (and new policies must):
   arbitrary — offline — CPU 0.
 * **Offline-pin fallback** — a pin naming an *offline* CPU falls back
   to the **lowest-numbered online CPU**, the same CPU
-  :meth:`~repro.sim.kernel.Kernel.fail_cpu` drains pins to.  One rule
-  for every policy: the kernel re-pins eagerly on failure, so
-  placement seeing an offline pin is a transient defensive case, and
-  agreeing with the drain target keeps the defensive path
-  bit-identical to the eager one.
+  :meth:`~repro.sim.kernel.Kernel.fail_cpu` drains pins to.  The
+  kernel re-pins eagerly on failure, so placement seeing an offline
+  pin is a transient defensive case, and agreeing with the drain
+  target keeps the defensive path bit-identical to the eager one.
 * **Determinism** — ties break towards the lowest CPU index and
   threads are considered in a fixed order, so every simulation remains
   exactly reproducible run to run.
@@ -68,7 +74,7 @@ Contracts every policy here honours (and new policies must):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.sim.errors import SchedulerError
 from repro.sim.topology import CpuTopology
@@ -77,8 +83,85 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ipc.registry import SymbioticRegistry
     from repro.sim.thread import SimThread
 
-#: Signature of the weight function a scheduler supplies to placement.
-ThreadWeight = Callable[["SimThread"], float]
+#: One item of a least-loaded packing: ``(-weight, tid, pin, name)``.
+#: Sorting a list of them gives the heaviest-first, tid-tiebroken order.
+PackItem = tuple[float, int, Optional[int], str]
+
+
+def pinned_cpu(
+    pin: int, n_cpus: int, online: tuple[int, ...], name: str
+) -> int:
+    """The CPU a thread pinned to ``pin`` is placed on.
+
+    The pin rule every policy and admission share: a pin outside
+    ``[0, n_cpus)`` raises :class:`SchedulerError` (``name`` names the
+    thread in the message), and a pin on an offline CPU maps to
+    ``online[0]``, the lowest-numbered online CPU.
+    """
+    if not 0 <= pin < n_cpus:
+        raise SchedulerError(
+            f"thread {name!r} is pinned to CPU {pin} "
+            f"but the kernel has only {n_cpus} CPU(s); placement "
+            "refuses to remap an invalid pin"
+        )
+    return pin if pin in online else online[0]
+
+
+def least_loaded(loads: list[float], candidates: Sequence[int]) -> int:
+    """The candidate CPU with the smallest load, lowest index on ties
+    (``candidates`` ascend)."""
+    # A hand loop: ``min(key=...)`` costs a call per candidate, and
+    # this runs per thread per SMP dispatch round.
+    cpu = candidates[0]
+    best = loads[cpu]
+    for index in candidates:
+        load = loads[index]
+        if load < best:
+            best = load
+            cpu = index
+    return cpu
+
+
+def _checked_online(online: tuple[int, ...]) -> tuple[int, ...]:
+    """``online``, refusing an empty set: no CPU could receive a
+    placement, and mapping threads to (offline) CPU 0 would corrupt
+    the round."""
+    if not online:
+        raise SchedulerError(
+            "placement needs at least one online CPU; the kernel "
+            "guarantees the last CPU cannot fail, so an empty "
+            "online set is a caller bug"
+        )
+    return online
+
+
+def pack_least_loaded(
+    items: list[PackItem], n_cpus: int, online: tuple[int, ...]
+) -> tuple[dict[int, int], list[float]]:
+    """Greedy least-loaded packing; returns (tid -> CPU, per-CPU load).
+
+    Items are sorted in place, heaviest first with the tid breaking
+    ties (the classic LPT balance order).  A pinned item goes where
+    :func:`pinned_cpu` says, an unpinned one to the
+    :func:`least_loaded` online CPU.  :class:`LeastLoadedPlacement`
+    runs it on the runnable threads every round, and admission
+    control (:func:`repro.core.overload.check_admission`) on the live
+    real-time reservations plus a request, so what admission
+    certifies is the placement this packing produces.
+    """
+    _checked_online(online)
+    loads = [0.0] * n_cpus
+    mapping: dict[int, int] = {}
+    items.sort()
+    for neg_weight, tid, pin, name in items:
+        if pin is not None:
+            cpu = pinned_cpu(pin, n_cpus, online, name)
+        else:
+            cpu = least_loaded(loads, online)
+        mapping[tid] = cpu
+        if neg_weight < 0.0:
+            loads[cpu] -= neg_weight
+    return mapping, loads
 
 
 class PlacementPolicy(ABC):
@@ -87,71 +170,20 @@ class PlacementPolicy(ABC):
     @abstractmethod
     def assign(
         self,
-        threads: Iterable["SimThread"],
+        threads: Sequence["SimThread"],
+        weights: list[float],
         n_cpus: int,
-        weight: ThreadWeight,
-        weights: "Optional[list[float]]" = None,
-        online: "Optional[tuple[int, ...]]" = None,
+        online: tuple[int, ...],
     ) -> dict[int, int]:
         """Map each thread's tid to the CPU index it may run on.
 
-        ``weight`` supplies the load contribution of a thread (used by
-        load-balancing policies; static policies may ignore it).  When
-        the caller already evaluated the weights, ``weights`` carries
-        them index-aligned with ``threads`` so the policy does not make
-        one Python call per thread per round.  The mapping must respect
-        each thread's ``affinity`` when set.
-
-        ``online`` restricts candidate CPUs to the given ascending
-        index tuple (simulated hotplug: failed CPUs must receive no
-        placements).  ``None`` — the overwhelmingly common case — means
-        every CPU is online and keeps the unrestricted fast path.  An
-        *empty* tuple raises :class:`SchedulerError`: no CPU could
-        legally receive a placement, and silently mapping threads to
-        (offline) CPU 0 would corrupt the round.  A pinned thread
-        whose affinity names an offline CPU falls back to the
-        lowest-numbered online CPU — the kernel's drain target — per
-        the module-level contract.
+        ``weights`` holds each thread's load contribution, index-aligned
+        with ``threads`` (load-balancing policies use it, static ones
+        ignore it).  ``online`` is the kernel's ascending tuple of
+        online CPUs; no thread may be placed off it, and an empty tuple
+        raises :class:`SchedulerError`.  Pinned threads follow
+        :func:`pinned_cpu`, per the module-level contract.
         """
-
-    @staticmethod
-    def _candidates(
-        n_cpus: int, online: "Optional[tuple[int, ...]]"
-    ) -> "range | tuple[int, ...]":
-        """The placeable CPU set, validated.
-
-        Raises :class:`SchedulerError` on an empty ``online`` tuple —
-        the empty-``online`` fallthrough that used to map every thread
-        to offline CPU 0.
-        """
-        if online is None:
-            return range(n_cpus)
-        if not online:
-            raise SchedulerError(
-                "placement needs at least one online CPU; the kernel "
-                "guarantees the last CPU cannot fail, so an empty "
-                "online set is a caller bug"
-            )
-        return online
-
-    @staticmethod
-    def _checked_affinity(thread: "SimThread", n_cpus: int) -> int:
-        """The thread's pin, validated against the CPU count.
-
-        Out-of-range pins raise :class:`SchedulerError` instead of
-        being clamped: ``pin_to``/``add_thread`` validate every bound
-        thread, so a bad value here means corrupted state that a
-        silent ``min(affinity, n_cpus - 1)`` would paper over.
-        """
-        affinity = thread.affinity
-        assert affinity is not None
-        if not 0 <= affinity < n_cpus:
-            raise SchedulerError(
-                f"thread {thread.name!r} is pinned to CPU {affinity} "
-                f"but the kernel has only {n_cpus} CPU(s); placement "
-                "refuses to remap an invalid pin"
-            )
-        return affinity
 
 
 class LeastLoadedPlacement(PlacementPolicy):
@@ -159,56 +191,19 @@ class LeastLoadedPlacement(PlacementPolicy):
 
     def assign(
         self,
-        threads: Iterable["SimThread"],
+        threads: Sequence["SimThread"],
+        weights: list[float],
         n_cpus: int,
-        weight: ThreadWeight,
-        weights: "Optional[list[float]]" = None,
-        online: "Optional[tuple[int, ...]]" = None,
+        online: tuple[int, ...],
     ) -> dict[int, int]:
-        loads = [0.0] * n_cpus
-        mapping: dict[int, int] = {}
-        # Heaviest-first gives the classic LPT balance guarantee; the
-        # tid tiebreak keeps the order (and therefore the whole
-        # simulation) deterministic.  Weights are evaluated once per
-        # thread and the argmin over CPU loads is unrolled by hand —
-        # this runs for every dispatch round of an SMP kernel, so the
-        # per-call lambda and ``min(key=...)`` overhead is measurable.
-        if weights is None:
-            decorated = [(-weight(t), t.tid, t) for t in threads]
-        else:
-            decorated = [
-                (-w, t.tid, t) for w, t in zip(weights, threads)
-            ]
-        decorated.sort()
-        candidates = self._candidates(n_cpus, online)
-        online_set = None if online is None else frozenset(online)
-        for neg_weight, tid, thread in decorated:
-            if thread.affinity is not None:
-                cpu = self._checked_affinity(thread, n_cpus)
-                if online_set is not None and cpu not in online_set:
-                    # Offline-pin fallback: the lowest-numbered online
-                    # CPU, matching the kernel's drain target.
-                    cpu = candidates[0]
-            elif online is None:
-                cpu = 0
-                best = loads[0]
-                for index in range(1, n_cpus):
-                    load = loads[index]
-                    if load < best:
-                        best = load
-                        cpu = index
-            else:
-                cpu = candidates[0]
-                best = loads[cpu]
-                for index in candidates:
-                    load = loads[index]
-                    if load < best:
-                        best = load
-                        cpu = index
-            mapping[tid] = cpu
-            if neg_weight < 0.0:
-                loads[cpu] -= neg_weight
-        return mapping
+        return pack_least_loaded(
+            [
+                (-w, t.tid, t.affinity, t.name)
+                for w, t in zip(weights, threads)
+            ],
+            n_cpus,
+            online,
+        )[0]
 
 
 class PinnedPlacement(PlacementPolicy):
@@ -216,36 +211,21 @@ class PinnedPlacement(PlacementPolicy):
 
     def assign(
         self,
-        threads: Iterable["SimThread"],
+        threads: Sequence["SimThread"],
+        weights: list[float],
         n_cpus: int,
-        weight: ThreadWeight,
-        weights: "Optional[list[float]]" = None,
-        online: "Optional[tuple[int, ...]]" = None,
+        online: tuple[int, ...],
     ) -> dict[int, int]:
+        _checked_online(online)
         mapping: dict[int, int] = {}
-        if online is None:
-            for thread in threads:
-                if thread.affinity is not None:
-                    mapping[thread.tid] = self._checked_affinity(
-                        thread, n_cpus
-                    )
-                else:
-                    mapping[thread.tid] = thread.tid % n_cpus
-            return mapping
-        candidates = self._candidates(n_cpus, online)
-        online_set = frozenset(candidates)
         for thread in threads:
-            if thread.affinity is not None:
-                cpu = self._checked_affinity(thread, n_cpus)
-                if cpu not in online_set:
-                    # Unified offline-pin fallback (was
-                    # ``online[cpu % len(online)]``, which disagreed
-                    # with every other policy and the kernel's drain).
-                    cpu = candidates[0]
+            pin = thread.affinity
+            if pin is not None:
+                cpu = pinned_cpu(pin, n_cpus, online, thread.name)
             else:
                 # The static default restricted to online CPUs: still a
                 # pure function of the tid, never of round state.
-                cpu = candidates[thread.tid % len(candidates)]
+                cpu = online[thread.tid % len(online)]
             mapping[thread.tid] = cpu
         return mapping
 
@@ -279,45 +259,33 @@ class CacheWarmPlacement(_TopologyPlacement):
 
     def assign(
         self,
-        threads: Iterable["SimThread"],
+        threads: Sequence["SimThread"],
+        weights: list[float],
         n_cpus: int,
-        weight: ThreadWeight,
-        weights: "Optional[list[float]]" = None,
-        online: "Optional[tuple[int, ...]]" = None,
+        online: tuple[int, ...],
     ) -> dict[int, int]:
         topology = self._check_topology(n_cpus)
-        candidates = self._candidates(n_cpus, online)
-        online_set = None if online is None else frozenset(online)
+        _checked_online(online)
         distance = topology.distance_class
         loads = [0.0] * n_cpus
         mapping: dict[int, int] = {}
-        if weights is None:
-            decorated = [(-weight(t), t.tid, t) for t in threads]
-        else:
-            decorated = [(-w, t.tid, t) for w, t in zip(weights, threads)]
+        decorated = [(-w, t.tid, t) for w, t in zip(weights, threads)]
         decorated.sort()
         for neg_weight, tid, thread in decorated:
-            if thread.affinity is not None:
-                cpu = self._checked_affinity(thread, n_cpus)
-                if online_set is not None and cpu not in online_set:
-                    cpu = candidates[0]
+            pin = thread.affinity
+            last = thread.last_cpu
+            if pin is not None:
+                cpu = pinned_cpu(pin, n_cpus, online, thread.name)
+            elif last is None:
+                cpu = least_loaded(loads, online)
             else:
-                last = thread.last_cpu
-                cpu = candidates[0]
-                if last is None:
-                    best = loads[cpu]
-                    for index in candidates:
-                        load = loads[index]
-                        if load < best:
-                            best = load
-                            cpu = index
-                else:
-                    best_key = (distance(last, cpu), loads[cpu], cpu)
-                    for index in candidates:
-                        key = (distance(last, index), loads[index], index)
-                        if key < best_key:
-                            best_key = key
-                            cpu = index
+                # The nearest distance tier, then least-loaded within it.
+                tiers = [distance(last, index) for index in online]
+                nearest = min(tiers)
+                cpu = least_loaded(
+                    loads,
+                    [c for c, tier in zip(online, tiers) if tier == nearest],
+                )
             mapping[tid] = cpu
             if neg_weight < 0.0:
                 loads[cpu] -= neg_weight
@@ -340,44 +308,35 @@ class NumaPackPlacement(_TopologyPlacement):
 
     def assign(
         self,
-        threads: Iterable["SimThread"],
+        threads: Sequence["SimThread"],
+        weights: list[float],
         n_cpus: int,
-        weight: ThreadWeight,
-        weights: "Optional[list[float]]" = None,
-        online: "Optional[tuple[int, ...]]" = None,
+        online: tuple[int, ...],
     ) -> dict[int, int]:
         topology = self._check_topology(n_cpus)
-        candidates = self._candidates(n_cpus, online)
-        online_set = None if online is None else frozenset(online)
         socket_of = topology.socket_of
         #: socket id -> its online CPUs (ascending; insertion order of
-        #: the dict is ascending socket id because candidates ascend).
+        #: the dict is ascending socket id because ``online`` ascends).
         socket_cpus: dict[int, list[int]] = {}
-        for index in candidates:
+        for index in _checked_online(online):
             socket_cpus.setdefault(socket_of(index), []).append(index)
         loads = [0.0] * n_cpus
         socket_loads = {socket: 0.0 for socket in socket_cpus}
         mapping: dict[int, int] = {}
-        if weights is None:
-            decorated = [(-weight(t), t.tid, t) for t in threads]
-        else:
-            decorated = [(-w, t.tid, t) for w, t in zip(weights, threads)]
+        decorated = [(-w, t.tid, t) for w, t in zip(weights, threads)]
         decorated.sort()
         # Pinned threads first: their CPU is fixed, and charging their
         # weight up front lets group packing route around them.
         groups: dict[str, list[tuple[float, int, "SimThread"]]] = {}
         group_weight: dict[str, float] = {}
         for neg_weight, tid, thread in decorated:
-            if thread.affinity is not None:
-                cpu = self._checked_affinity(thread, n_cpus)
-                if online_set is not None and cpu not in online_set:
-                    cpu = candidates[0]
+            pin = thread.affinity
+            if pin is not None:
+                cpu = pinned_cpu(pin, n_cpus, online, thread.name)
                 mapping[tid] = cpu
                 if neg_weight < 0.0:
                     loads[cpu] -= neg_weight
-                    socket = socket_of(cpu)
-                    if socket in socket_loads:
-                        socket_loads[socket] -= neg_weight
+                    socket_loads[socket_of(cpu)] -= neg_weight
                 continue
             group = thread.name.split(".", 1)[0]
             groups.setdefault(group, []).append((neg_weight, tid, thread))
@@ -389,13 +348,7 @@ class NumaPackPlacement(_TopologyPlacement):
             )
             local = socket_cpus[socket]
             for neg_weight, tid, _thread in groups[group]:
-                cpu = local[0]
-                best = loads[cpu]
-                for index in local:
-                    load = loads[index]
-                    if load < best:
-                        best = load
-                        cpu = index
+                cpu = least_loaded(loads, local)
                 mapping[tid] = cpu
                 if neg_weight < 0.0:
                     loads[cpu] -= neg_weight
@@ -443,26 +396,18 @@ class PipelineAffinityPlacement(_TopologyPlacement):
 
     def assign(
         self,
-        threads: Iterable["SimThread"],
+        threads: Sequence["SimThread"],
+        weights: list[float],
         n_cpus: int,
-        weight: ThreadWeight,
-        weights: "Optional[list[float]]" = None,
-        online: "Optional[tuple[int, ...]]" = None,
+        online: tuple[int, ...],
     ) -> dict[int, int]:
         topology = self._check_topology(n_cpus)
-        candidates = self._candidates(n_cpus, online)
-        online_set = frozenset(candidates)
+        _checked_online(online)
         loads = [0.0] * n_cpus
         mapping: dict[int, int] = {}
-        thread_list = list(threads)
-        if weights is None:
-            weight_of = {t.tid: weight(t) for t in thread_list}
-        else:
-            weight_of = {
-                t.tid: w for w, t in zip(weights, thread_list)
-            }
+        weight_of = {t.tid: w for w, t in zip(weights, threads)}
         by_name: dict[str, "SimThread"] = {}
-        for thread in thread_list:
+        for thread in threads:
             # First registration wins on (pathological) duplicate names,
             # deterministically.
             by_name.setdefault(thread.name, thread)
@@ -474,11 +419,10 @@ class PipelineAffinityPlacement(_TopologyPlacement):
                 thread = by_name.get(name)
                 if thread is not None and thread.affinity is None:
                     paired.add(thread.tid)
-        for thread in thread_list:
-            if thread.affinity is not None:
-                cpu = self._checked_affinity(thread, n_cpus)
-                if cpu not in online_set:
-                    cpu = candidates[0]
+        for thread in threads:
+            pin = thread.affinity
+            if pin is not None:
+                cpu = pinned_cpu(pin, n_cpus, online, thread.name)
                 mapping[thread.tid] = cpu
                 loads[cpu] += weight_of[thread.tid]
             elif thread.tid not in paired:
@@ -487,7 +431,7 @@ class PipelineAffinityPlacement(_TopologyPlacement):
                 )
         #: global core id -> its online CPUs.
         core_cpus: dict[int, list[int]] = {}
-        for index in candidates:
+        for index in online:
             core_cpus.setdefault(topology.core_of(index), []).append(index)
         placed: set[int] = set()
         for producer_name, consumer_name in self.pairs:
@@ -510,26 +454,14 @@ class PipelineAffinityPlacement(_TopologyPlacement):
             )
             local = core_cpus[core]
             for thread in members:
-                cpu = local[0]
-                best = loads[cpu]
-                for index in local:
-                    load = loads[index]
-                    if load < best:
-                        best = load
-                        cpu = index
+                cpu = least_loaded(loads, local)
                 mapping[thread.tid] = cpu
                 loads[cpu] += weight_of[thread.tid]
                 placed.add(thread.tid)
         # Everything else: plain heaviest-first least-loaded balancing.
         leftovers.sort()
         for neg_weight, tid, _thread in leftovers:
-            cpu = candidates[0]
-            best = loads[cpu]
-            for index in candidates:
-                load = loads[index]
-                if load < best:
-                    best = load
-                    cpu = index
+            cpu = least_loaded(loads, online)
             mapping[tid] = cpu
             if neg_weight < 0.0:
                 loads[cpu] -= neg_weight
@@ -567,7 +499,10 @@ __all__ = [
     "NumaPackPlacement",
     "PinnedPlacement",
     "PipelineAffinityPlacement",
+    "PackItem",
     "PlacementPolicy",
-    "ThreadWeight",
+    "least_loaded",
+    "pack_least_loaded",
+    "pinned_cpu",
     "pipeline_pairs",
 ]

@@ -655,17 +655,12 @@ class ReservationScheduler(Scheduler):
     # ------------------------------------------------------------------
     # placement (multiprocessor)
     # ------------------------------------------------------------------
-    def placement_weight(self, thread: SimThread) -> float:
-        """Balance CPUs by reserved proportion, not by thread count."""
-        reservation = self._reservations.get(thread.tid)
-        if reservation is None or reservation.proportion_ppt <= 0:
-            # Best-effort and zero-proportion threads weigh a token
-            # amount so they still spread over otherwise equal CPUs.
-            return 1.0
-        return float(reservation.proportion_ppt)
-
     def placement_weights(self, threads: list[SimThread]) -> list[float]:
-        """Bulk weights: one tight loop instead of a call per thread."""
+        """Balance CPUs by reserved proportion, not by thread count.
+
+        Best-effort and zero-proportion threads weigh a token 1.0 so
+        they still spread over otherwise equal CPUs.
+        """
         reservations = self._reservations
         weights = []
         append = weights.append

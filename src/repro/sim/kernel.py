@@ -204,6 +204,9 @@ class Kernel:
         #: dispatch paths never test ``online`` per CPU per round.
         self._online_states: list[CPUState] = list(self.cpu_states)
         self._offline_states: list[CPUState] = []
+        #: Indices of ``_online_states``, the ``online`` argument of
+        #: every placement round and admission test.
+        self._online_indices: tuple[int, ...] = tuple(range(self.n_cpus))
         #: Running totals mirroring the per-CPU fields, maintained at
         #: every mutation site so the aggregate properties are O(1)
         #: instead of O(n_cpus) sums (hot in bench reporting and tests).
@@ -363,7 +366,7 @@ class Kernel:
 
     def online_cpu_indices(self) -> tuple[int, ...]:
         """Indices of the online CPUs, ascending."""
-        return tuple(cpu.index for cpu in self._online_states)
+        return self._online_indices
 
     def cpu_is_online(self, index: int) -> bool:
         """Whether CPU ``index`` is online (False for out-of-range too)."""
@@ -376,6 +379,17 @@ class Kernel:
     def total_thread_cpu_us(self) -> int:
         """Sum of CPU time charged to all threads."""
         return sum(t.accounting.total_us for t in self.threads)
+
+    def conservation_ok(self) -> bool:
+        """Whether the conservation identity holds: ``thread_cpu + idle
+        + stolen + offline == n_cpus * now``."""
+        return (
+            self.total_thread_cpu_us()
+            + self.idle_us
+            + self.stolen_us
+            + self.offline_us
+            == self.capacity_us()
+        )
 
     def live_threads(self) -> list[SimThread]:
         """Threads that have not exited."""
@@ -508,6 +522,7 @@ class Kernel:
     def _rebuild_cpu_partitions(self) -> None:
         self._online_states = [c for c in self.cpu_states if c.online]
         self._offline_states = [c for c in self.cpu_states if not c.online]
+        self._online_indices = tuple(c.index for c in self._online_states)
 
     def fail_cpu(self, index: int) -> list[SimThread]:
         """Take CPU ``index`` offline (simulated hotplug failure).

@@ -208,19 +208,19 @@ class TestSquishListsCore:
 class TestAdmissionControl:
     def test_accepts_within_threshold(self):
         config = ControllerConfig(admission_threshold_ppt=800)
-        check_admission(config, existing_real_time_ppt=300, requested_ppt=400,
-                        thread_name="rt")
+        check_admission(config, [(300, 1, None, "old")], (400, 2, None, "rt"),
+                        n_cpus=1, online=(0,))
 
     def test_rejects_over_threshold(self):
         config = ControllerConfig(admission_threshold_ppt=800)
         with pytest.raises(AdmissionError) as excinfo:
-            check_admission(config, existing_real_time_ppt=700, requested_ppt=200,
-                            thread_name="rt")
+            check_admission(config, [(700, 1, None, "old")], (200, 2, None, "rt"),
+                            n_cpus=1, online=(0,))
         assert excinfo.value.requested_ppt == 200
         assert excinfo.value.available_ppt == 100
         assert "rt" in str(excinfo.value)
 
     def test_exact_fit_accepted(self):
         config = ControllerConfig(admission_threshold_ppt=800)
-        check_admission(config, existing_real_time_ppt=600, requested_ppt=200,
-                        thread_name="rt")
+        check_admission(config, [(600, 1, None, "old")], (200, 2, None, "rt"),
+                        n_cpus=1, online=(0,))

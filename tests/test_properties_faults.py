@@ -14,7 +14,10 @@ armed, and asserts the invariants that must survive any such sequence:
   hijacked bodies are swapped in and out;
 * **replay** — two runs of the identical fault sequence produce
   bit-identical dispatch logs, accounting, injection records and
-  quarantine histories under every fault type.
+  quarantine histories under every fault type;
+* **admission certifies placement** — whatever the pins, failed CPUs
+  and real-time request sequence, the reservations admission lets in
+  are placed with no online CPU above the admission threshold.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ControllerConfig
+from repro.core.errors import AdmissionError
+from repro.core.taxonomy import ThreadSpec
 from repro.faults import (
     CPU_FAIL,
     RUNAWAY_START,
@@ -50,6 +55,7 @@ from repro.sim.thread import SimThread
 from repro.sim.topology import CpuTopology
 from repro.system import build_real_rate_system
 
+from tests.conftest import spin_body
 from tests.test_properties_churn import (
     DURATION_US,
     assert_no_lost_no_double,
@@ -304,9 +310,7 @@ def test_no_policy_ever_places_on_an_offline_cpu(
         thread.last_cpu = last_cpus[i]
         threads.append(thread)
     online_tuple = tuple(sorted(online))
-    mapping = policy.assign(
-        threads, 8, lambda t: weights[int(t.name[1:])], online=online_tuple
-    )
+    mapping = policy.assign(threads, weights[:n_threads], 8, online_tuple)
     assert set(mapping) == {t.tid for t in threads}
     for thread in threads:
         cpu = mapping[thread.tid]
@@ -391,3 +395,94 @@ def test_migration_penalties_conserve_under_hotplug(policy_name, faults, pins):
     assert observations[0] == observations[1], (
         "migration penalties broke replay under hotplug"
     )
+
+
+# ----------------------------------------------------------------------
+# admission certifies the placement
+# ----------------------------------------------------------------------
+def _real_time_spec(ppt):
+    return ThreadSpec(proportion_ppt=ppt, period_us=10_000)
+
+
+def _admit(system, name, ppt, pin=None):
+    """Admission-on-arrival: register the job only if ``would_admit``
+    accepts it (a refused ``register`` fails the test)."""
+    if not system.allocator.would_admit(ppt, affinity=pin, name=name):
+        return None
+    return system.spawn_controlled(
+        name, spin_body(), spec=_real_time_spec(ppt), affinity=pin
+    )
+
+
+def _real_time_load_per_cpu(system):
+    """Admitted real-time ppt on each online CPU after a placement round
+    (every admitted thread spins, so all of them are placed)."""
+    mapping = system.scheduler.place_threads(system.now)
+    loads = dict.fromkeys(system.kernel.online_cpu_indices(), 0)
+    for thread in system.allocator.controlled_threads():
+        loads[mapping[thread.tid]] += system.allocator.spec_for(
+            thread
+        ).proportion_ppt
+    return loads
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_cpus=st.integers(min_value=2, max_value=4),
+    failed=st.sets(st.integers(min_value=0, max_value=3), max_size=3),
+    requests=st.lists(
+        st.tuples(
+            st.integers(min_value=50, max_value=900),
+            st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+        ),
+        min_size=1, max_size=10,
+    ),
+)
+def test_admitted_real_time_load_fits_every_online_cpu(
+    n_cpus, failed, requests
+):
+    """Random failed CPUs, then random pinned and unpinned real-time
+    arrivals through ``would_admit``/``register``: the default placement
+    of everything admitted keeps each online CPU's real-time total at
+    or under the admission threshold."""
+    system = build_real_rate_system(n_cpus=n_cpus)
+    kernel = system.kernel
+    for cpu in sorted(failed):
+        if cpu < n_cpus and kernel.online_cpu_count > 1:
+            kernel.fail_cpu(cpu)
+    online = kernel.online_cpu_indices()
+    for i, (ppt, pin) in enumerate(requests):
+        _admit(
+            system, f"rt{i}", ppt,
+            None if pin is None else online[pin % len(online)],
+        )
+    loads = _real_time_load_per_cpu(system)
+    threshold = system.allocator.config.admission_threshold_ppt
+    assert max(loads.values()) <= threshold, loads
+
+
+def test_pinned_reservation_not_buried_by_a_larger_unpinned_one():
+    """300 ppt pinned to CPU 0, then 800 ppt unpinned, all 4 CPUs up:
+    placement puts the 800 on CPU 0 first (every CPU empty, lowest index
+    wins) and the pin adds 300 there, so admission must refuse it."""
+    system = build_real_rate_system(n_cpus=4)
+    assert _admit(system, "pinned", 300, pin=0) is not None
+    assert _admit(system, "big", 800) is None
+    with pytest.raises(AdmissionError):
+        system.allocator.register(
+            system.kernel.spawn("big", spin_body()), _real_time_spec(800)
+        )
+    assert max(_real_time_load_per_cpu(system).values()) <= 900
+
+
+def test_failed_cpu_is_not_free_admission_capacity():
+    """CPU 1 failed, 600 ppt pinned to each of CPUs 2 and 3: one 800 ppt
+    unpinned request fits CPU 0, but a second would be placed on CPU 2
+    (1400 ppt), so admission must refuse it."""
+    system = build_real_rate_system(n_cpus=4)
+    system.kernel.fail_cpu(1)
+    for cpu in (2, 3):
+        assert _admit(system, f"pinned{cpu}", 600, pin=cpu) is not None
+    assert _admit(system, "big0", 800) is not None
+    assert _admit(system, "big1", 800) is None
+    assert _real_time_load_per_cpu(system) == {0: 800, 2: 600, 3: 600}

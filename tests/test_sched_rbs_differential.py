@@ -112,11 +112,15 @@ class ReferenceReservationScheduler(Scheduler):
         reservation.total_allocated_us += consumed_us
         reservation.advance_to(now)
 
-    def placement_weight(self, thread: SimThread) -> float:
-        reservation = self.reservation(thread)
-        if reservation is None or reservation.proportion_ppt <= 0:
-            return 1.0
-        return float(reservation.proportion_ppt)
+    def placement_weights(self, threads: list[SimThread]) -> list[float]:
+        weights = []
+        for thread in threads:
+            reservation = self.reservation(thread)
+            if reservation is None or reservation.proportion_ppt <= 0:
+                weights.append(1.0)
+            else:
+                weights.append(float(reservation.proportion_ppt))
+        return weights
 
     def _eligible_reservation_threads(self, now, cpu=None):
         eligible = []

@@ -102,7 +102,7 @@ class TestPlacement:
 
     def test_least_loaded_balances_equal_weights(self):
         threads = self._threads(4)
-        mapping = LeastLoadedPlacement().assign(threads, 2, lambda t: 1.0)
+        mapping = LeastLoadedPlacement().assign(threads, [1.0] * 4, 2, (0, 1))
         per_cpu = [sum(1 for c in mapping.values() if c == i) for i in range(2)]
         assert per_cpu == [2, 2]
 
@@ -111,7 +111,7 @@ class TestPlacement:
         weights = {threads[0].tid: 900.0, threads[1].tid: 500.0,
                    threads[2].tid: 400.0}
         mapping = LeastLoadedPlacement().assign(
-            threads, 2, lambda t: weights[t.tid]
+            threads, [weights[t.tid] for t in threads], 2, (0, 1)
         )
         # Heaviest goes alone; the two lighter ones share the other CPU.
         assert mapping[threads[0].tid] != mapping[threads[1].tid]
@@ -120,13 +120,13 @@ class TestPlacement:
     def test_least_loaded_honours_affinity(self):
         threads = self._threads(3)
         threads[0].pin_to(1)
-        mapping = LeastLoadedPlacement().assign(threads, 2, lambda t: 1.0)
+        mapping = LeastLoadedPlacement().assign(threads, [1.0] * 3, 2, (0, 1))
         assert mapping[threads[0].tid] == 1
 
     def test_pinned_placement_is_static(self):
         threads = self._threads(4)
         threads[2].pin_to(0)
-        mapping = PinnedPlacement().assign(threads, 2, lambda t: 1.0)
+        mapping = PinnedPlacement().assign(threads, [1.0] * 4, 2, (0, 1))
         assert mapping[threads[2].tid] == 0
         for t in (threads[0], threads[1], threads[3]):
             assert mapping[t.tid] == t.tid % 2
@@ -138,8 +138,7 @@ class TestPlacement:
         light = kernel.spawn("light", spin_body())
         scheduler.set_reservation(heavy, 800, 10_000)
         scheduler.set_reservation(light, 100, 10_000)
-        assert scheduler.placement_weight(heavy) == 800.0
-        assert scheduler.placement_weight(light) == 100.0
+        assert scheduler.placement_weights([heavy, light]) == [800.0, 100.0]
 
 
 class TestCapacityScaling:

@@ -36,6 +36,11 @@ from repro.workloads.engine import dispatch_fingerprint
 
 from tests.conftest import finite_body, spin_body
 
+def _ones(threads):
+    """Equal placement weights for ``threads``."""
+    return [1.0] * len(threads)
+
+
 #: Placement policy factories taking the CPU count, used by the shared
 #: contract tests (every policy must obey the same offline/validation
 #: rules).
@@ -122,7 +127,7 @@ class TestCacheWarmPlacement:
         threads = self._threads(2)
         threads[0].last_cpu = 6
         threads[1].last_cpu = 3
-        mapping = CacheWarmPlacement(topo).assign(threads, 8, lambda t: 1.0)
+        mapping = CacheWarmPlacement(topo).assign(threads, _ones(threads), 8, tuple(range(8)))
         assert mapping[threads[0].tid] == 6
         assert mapping[threads[1].tid] == 3
 
@@ -131,9 +136,7 @@ class TestCacheWarmPlacement:
         threads = self._threads(1)
         threads[0].last_cpu = 6
         online = (0, 1, 2, 3, 4, 5, 7)  # 6 down; 7 is its SMT sibling
-        mapping = CacheWarmPlacement(topo).assign(
-            threads, 8, lambda t: 1.0, online=online
-        )
+        mapping = CacheWarmPlacement(topo).assign(threads, _ones(threads), 8, online)
         assert mapping[threads[0].tid] == 7
 
     def test_prefers_same_socket_over_remote(self):
@@ -141,16 +144,15 @@ class TestCacheWarmPlacement:
         threads = self._threads(1)
         threads[0].last_cpu = 1
         online = (0, 2, 3)  # core 1 (socket 0) down entirely
-        mapping = CacheWarmPlacement(topo).assign(
-            threads, 4, lambda t: 1.0, online=online
-        )
+        mapping = CacheWarmPlacement(topo).assign(threads, _ones(threads), 4, online)
         assert mapping[threads[0].tid] == 0  # same socket beats 2/3
 
     def test_never_dispatched_degenerates_to_least_loaded(self):
         topo = CpuTopology.from_spec("1x4x1")
         threads = self._threads(4)
-        warm = CacheWarmPlacement(topo).assign(threads, 4, lambda t: 1.0)
-        flat = LeastLoadedPlacement().assign(threads, 4, lambda t: 1.0)
+        online = tuple(range(4))
+        warm = CacheWarmPlacement(topo).assign(threads, _ones(threads), 4, online)
+        flat = LeastLoadedPlacement().assign(threads, _ones(threads), 4, online)
         assert warm == flat
 
     def test_stable_under_self_application(self):
@@ -163,15 +165,17 @@ class TestCacheWarmPlacement:
         threads = self._threads(5)
         threads[2].last_cpu = 5
         policy = CacheWarmPlacement(topo)
-        first = policy.assign(threads, 8, lambda t: 1.0)
+        first = policy.assign(threads, _ones(threads), 8, tuple(range(8)))
         for thread in threads:
             thread.last_cpu = first[thread.tid]
-        assert policy.assign(threads, 8, lambda t: 1.0) == first
+        assert policy.assign(threads, _ones(threads), 8, tuple(range(8))) == first
 
     def test_rejects_mismatched_topology(self):
         topo = CpuTopology.from_spec("1x2x1")
         with pytest.raises(SchedulerError):
-            CacheWarmPlacement(topo).assign(self._threads(1), 4, lambda t: 1.0)
+            CacheWarmPlacement(topo).assign(
+                self._threads(1), [1.0], 4, tuple(range(4))
+            )
 
 
 class TestNumaPackPlacement:
@@ -181,7 +185,7 @@ class TestNumaPackPlacement:
             SimThread("web.0"), SimThread("web.1"),
             SimThread("db.0"), SimThread("db.1"),
         ]
-        mapping = NumaPackPlacement(topo).assign(threads, 4, lambda t: 1.0)
+        mapping = NumaPackPlacement(topo).assign(threads, _ones(threads), 4, tuple(range(4)))
         web = {topo.socket_of(mapping[t.tid]) for t in threads[:2]}
         db = {topo.socket_of(mapping[t.tid]) for t in threads[2:]}
         assert len(web) == 1 and len(db) == 1
@@ -193,7 +197,7 @@ class TestNumaPackPlacement:
         weights = {threads[0].tid: 9.0, threads[1].tid: 9.0,
                    threads[2].tid: 1.0}
         mapping = NumaPackPlacement(topo).assign(
-            threads, 4, lambda t: weights[t.tid]
+            threads, [weights[t.tid] for t in threads], 4, tuple(range(4))
         )
         # The big group lands on socket 0 (tie broken low) on distinct
         # CPUs; tiny takes the other socket.
@@ -204,9 +208,7 @@ class TestNumaPackPlacement:
     def test_skips_fully_offline_socket(self):
         topo = CpuTopology.from_spec("2x2x1")
         threads = [SimThread("grp.0"), SimThread("grp.1")]
-        mapping = NumaPackPlacement(topo).assign(
-            threads, 4, lambda t: 1.0, online=(2, 3)
-        )
+        mapping = NumaPackPlacement(topo).assign(threads, _ones(threads), 4, (2, 3))
         assert {mapping[t.tid] for t in threads} == {2, 3}
 
 
@@ -219,7 +221,8 @@ class TestPipelineAffinityPlacement:
         policy = PipelineAffinityPlacement(
             topo, pairs=[("stage.produce", "stage.consume")]
         )
-        mapping = policy.assign([producer, consumer, other], 4, lambda t: 1.0)
+        threads = [producer, consumer, other]
+        mapping = policy.assign(threads, _ones(threads), 4, tuple(range(4)))
         assert topo.core_of(mapping[producer.tid]) == topo.core_of(
             mapping[consumer.tid]
         )
@@ -230,14 +233,16 @@ class TestPipelineAffinityPlacement:
         producer = SimThread("p")
         consumer = SimThread("c")
         policy = PipelineAffinityPlacement(topo, pairs=[("p", "c")])
-        mapping = policy.assign([producer, consumer], 2, lambda t: 1.0)
+        mapping = policy.assign(
+            [producer, consumer], [1.0, 1.0], 2, tuple(range(2))
+        )
         assert mapping[producer.tid] == mapping[consumer.tid]
 
     def test_unpaired_threads_balance(self):
         topo = CpuTopology.from_spec("1x2x1")
         threads = [SimThread(f"solo{i}") for i in range(2)]
         mapping = PipelineAffinityPlacement(topo).assign(
-            threads, 2, lambda t: 1.0
+            threads, _ones(threads), 2, tuple(range(2))
         )
         assert sorted(mapping.values()) == [0, 1]
 
@@ -258,7 +263,7 @@ class TestPlacementEdgeCases:
         policy = _all_policies(2)[name]
         threads = [SimThread("t")]
         with pytest.raises(SchedulerError):
-            policy.assign(threads, 2, lambda t: 1.0, online=())
+            policy.assign(threads, _ones(threads), 2, ())
 
     @pytest.mark.parametrize("name", sorted(_all_policies(2)))
     def test_out_of_range_affinity_raises(self, name):
@@ -266,7 +271,7 @@ class TestPlacementEdgeCases:
         thread = SimThread("t")
         thread.affinity = 5  # bypass pin_to validation: corrupted state
         with pytest.raises(SchedulerError):
-            policy.assign([thread], 2, lambda t: 1.0)
+            policy.assign([thread], [1.0], 2, tuple(range(2)))
 
     @pytest.mark.parametrize("name", sorted(_all_policies(4)))
     def test_offline_pin_falls_back_to_lowest_online(self, name):
@@ -275,7 +280,7 @@ class TestPlacementEdgeCases:
         policy = _all_policies(4)[name]
         thread = SimThread("t")
         thread.affinity = 2
-        mapping = policy.assign([thread], 4, lambda t: 1.0, online=(1, 3))
+        mapping = policy.assign([thread], [1.0], 4, (1, 3))
         assert mapping[thread.tid] == 1
 
     def test_fallback_matches_kernel_drain_target(self):
