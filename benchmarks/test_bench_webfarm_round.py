@@ -1,14 +1,15 @@
 """Micro-benchmarks of the SMP dispatch-round path.
 
 ``webfarm`` is the slowest macro scenario because every simulated
-millisecond of a 4-CPU farm re-runs the full round machinery: a
-placement assignment over the runnable set, one pick per CPU against
-the rate-monotonic heap, and up to four dispatch slices sharing one
-window.  These benchmarks isolate that path — a placement-heavy round
-loop with no controller, and the pure placement assignment — so a
-future change that silently reintroduces an O(n) scan (or a per-thread
-lambda) into rounds shows up as a step in this group rather than as an
-unexplained drift in the macro number.
+millisecond of a 4-CPU farm re-runs the full round machinery: one
+``pick_round`` call (a placement assignment over the runnable set and
+one walk of the rate-monotonic order that serves every CPU), and up to
+four dispatch slices sharing one window.  These benchmarks isolate that
+path — a placement-heavy round loop with no controller, one fused
+round, and the pure placement assignment — so a future change that
+silently reintroduces an O(n) scan (or a per-thread lambda) into rounds
+shows up as a step in this group rather than as an unexplained drift in
+the macro number.
 """
 
 import pytest
@@ -17,7 +18,7 @@ from repro.sched.placement import LeastLoadedPlacement
 from repro.sched.rbs import ReservationScheduler
 from repro.sim.kernel import Kernel
 from repro.sim.requests import Compute, Sleep
-from repro.sim.thread import SimThread
+from repro.sim.thread import SimThread, ThreadState
 
 
 def _server(burst_us, sleep_us):
@@ -60,6 +61,33 @@ def test_dispatch_round_throughput(benchmark):
         kernel.total_thread_cpu_us() + kernel.idle_us + kernel.stolen_us
         == kernel.capacity_us()
     )
+
+
+@pytest.mark.benchmark(group="smp-round")
+def test_pick_round_16_threads(benchmark):
+    """One fused round on the 16-thread, 4-CPU farm: placement, queue
+    service and the picks of every CPU (runs once per dispatch round in
+    the macro scenario)."""
+    kernel = _build_farm_kernel()
+    kernel.run_for(50_000)
+    scheduler = kernel.scheduler
+    cpus = kernel.online_cpu_indices()
+    now = kernel.now
+
+    def pick_round():
+        picks = scheduler.pick_round(cpus, now)
+        # Release the claims so every timed round sees the same state.
+        for thread in picks:
+            if thread is not None:
+                thread.state = ThreadState.READY
+        return picks
+
+    picks = benchmark(pick_round)
+    # One entry (a thread or None) per CPU, and no thread picked twice.
+    assert len(picks) == len(cpus)
+    picked = [t.tid for t in picks if t is not None]
+    assert picked
+    assert len(set(picked)) == len(picked)
 
 
 @pytest.mark.benchmark(group="smp-round")

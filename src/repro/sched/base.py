@@ -7,12 +7,16 @@ next* (:meth:`Scheduler.pick_next`) and *for at most how long*
 (:meth:`Scheduler.time_slice`).  CPU consumption is reported back via
 :meth:`Scheduler.charge` so proportion/period accounting can be kept.
 
-On a multiprocessor kernel the dispatch question is asked once per CPU:
-the kernel first calls :meth:`Scheduler.place_threads` to let the
+On a multiprocessor kernel the dispatch question is asked once per
+round: the kernel calls :meth:`Scheduler.pick_round` with the online
+CPUs and gets back one thread (or ``None``) per CPU.  Its contract is
+the sequential one: :meth:`Scheduler.place_threads` lets the
 scheduler's :class:`~repro.sched.placement.PlacementPolicy` map runnable
-threads to CPUs for the round, then calls
-:meth:`Scheduler.pick_next_cpu` for each CPU.  Policies answer the
-per-CPU question with exactly the same ordering logic as the
+threads to CPUs for the round, then each CPU in index order takes
+:meth:`Scheduler.pick_next_cpu`'s answer, which is claimed (state
+``RUNNING``) before the next CPU picks.  The base class runs exactly
+that loop; a policy may fuse it into one pass as long as it returns
+the same picks.  Per-CPU picks use the same ordering logic as the
 uniprocessor one, restricted to the threads placed on that CPU
 (:meth:`Scheduler.dispatch_candidates`).  With ``cpu=None`` (the
 single-CPU kernel's call) every code path reduces bit-for-bit to the
@@ -65,7 +69,7 @@ from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.sched.placement import LeastLoadedPlacement, PlacementPolicy
 from repro.sim.errors import SchedulerError
@@ -177,12 +181,6 @@ class LazyMinHeap:
                 return entry
         return None
 
-    def push_back(self, entries: Iterable[tuple]) -> None:
-        """Re-insert entries previously obtained from :meth:`pop`."""
-        for entry in entries:
-            self._live[entry[-1]] = entry
-            heapq.heappush(self._heap, entry)
-
     def live_sorted(self) -> list[tuple]:
         """All live entries in ascending order (a non-mutating walk).
 
@@ -190,7 +188,7 @@ class LazyMinHeap:
         so this is exactly the sequence :meth:`pop` would yield —
         without disturbing the heap.  Used by pick paths that need to
         *scan past* ineligible entries: sorting the small live set
-        beats a pop/push-back churn through the backing heap.
+        beats popping and re-pushing entries through the backing heap.
         """
         entries = list(self._live.values())
         entries.sort()
@@ -406,9 +404,9 @@ class Scheduler(ABC):
 
         A hard affinity is always honoured (the kernel and ``pin_to``
         guarantee it names an existing CPU); otherwise the thread must
-        be assigned to ``cpu`` by the latest placement round (threads
-        that woke after placement simply wait for the next round, which
-        bounds their extra latency by one dispatch window).
+        be assigned to ``cpu`` by the latest placement round.  A thread
+        that placement did not see (it woke after placement ran) may
+        run on any CPU.
         """
         if thread.affinity is not None:
             return thread.affinity == cpu
@@ -502,6 +500,27 @@ class Scheduler(ABC):
     def pick_next_cpu(self, cpu: int, now: int) -> Optional[SimThread]:
         """CPU-aware pick: the thread CPU ``cpu`` should dispatch at ``now``."""
         return self.pick_next(now, cpu=cpu)
+
+    def pick_round(
+        self, cpus: Sequence[int], now: int
+    ) -> list[Optional[SimThread]]:
+        """One SMP dispatch round: the thread (or ``None``) each CPU of
+        ``cpus`` (the ascending online CPUs) dispatches at ``now``.
+
+        Places the runnable threads, then asks each CPU in order for
+        its pick and claims it (state ``RUNNING``), so a thread picked
+        by a lower-numbered CPU is invisible to higher ones.  Overrides
+        must return exactly these picks, claimed the same way.
+        """
+        self.place_threads(now)
+        running = ThreadState.RUNNING
+        picks: list[Optional[SimThread]] = []
+        for cpu in cpus:
+            thread = self.pick_next_cpu(cpu, now)
+            if thread is not None:
+                thread.state = running
+            picks.append(thread)
+        return picks
 
     def time_slice(self, thread: SimThread, now: int) -> int:
         """Maximum time (us) ``thread`` may run before re-dispatch."""

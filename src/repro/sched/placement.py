@@ -153,11 +153,20 @@ def pack_least_loaded(
     loads = [0.0] * n_cpus
     mapping: dict[int, int] = {}
     items.sort()
+    first = online[0]
     for neg_weight, tid, pin, name in items:
         if pin is not None:
             cpu = pinned_cpu(pin, n_cpus, online, name)
         else:
-            cpu = least_loaded(loads, online)
+            # least_loaded(loads, online), inlined: this loop runs per
+            # runnable thread every SMP dispatch round.
+            cpu = first
+            best = loads[first]
+            for index in online:
+                load = loads[index]
+                if load < best:
+                    best = load
+                    cpu = index
         mapping[tid] = cpu
         if neg_weight < 0.0:
             loads[cpu] -= neg_weight
@@ -386,13 +395,6 @@ class PipelineAffinityPlacement(_TopologyPlacement):
         self.pairs: tuple[tuple[str, str], ...] = tuple(
             (str(producer), str(consumer)) for producer, consumer in pairs
         )
-
-    @classmethod
-    def from_registry(
-        cls, topology: CpuTopology, registry: "SymbioticRegistry"
-    ) -> "PipelineAffinityPlacement":
-        """Snapshot the registry's channel endpoints into pairs."""
-        return cls(topology, pipeline_pairs(registry))
 
     def assign(
         self,

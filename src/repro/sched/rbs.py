@@ -673,12 +673,32 @@ class ReservationScheduler(Scheduler):
                 append(float(ppt) if ppt > 0 else 1.0)
         return weights
 
+    def place_threads(self, now: int) -> dict[int, int]:
+        """The base placement, with the runnable filter and
+        :meth:`placement_weights`' rule applied in one pass."""
+        reservations = self._reservations
+        ready = ThreadState.READY
+        running = ThreadState.RUNNING
+        runnable = []
+        weights = []
+        for thread in self._run_queue.ready_in_order():
+            state = thread.state
+            if state is ready or state is running:
+                runnable.append(thread)
+                reservation = reservations.get(thread.tid)
+                ppt = 0 if reservation is None else reservation.proportion_ppt
+                weights.append(float(ppt) if ppt > 0 else 1.0)
+        self._placement_map = self.placement.assign(
+            runnable, weights, self.n_cpus, self.online_cpus
+        )
+        return self._placement_map
+
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
     def pick_next(self, now: int, cpu: Optional[int] = None) -> Optional[SimThread]:
-        # The _service_queues fast-path test, inlined (per-CPU picks
-        # call this up to n_cpus times per round at the same instant).
+        # The _service_queues fast-path test, inlined (this runs once
+        # per uniprocessor dispatch).
         if self._unmarked or self._pending or self._wanted_stray:
             self._service_queues(now, mark_wanted=True)
         else:
@@ -690,7 +710,7 @@ class ReservationScheduler(Scheduler):
         ready = ThreadState.READY
         running = ThreadState.RUNNING
         # Fast path: the heap minimum is usually dispatchable as-is —
-        # peek avoids walking the live set (the dispatchability test is
+        # peek avoids walking the live set (the uniprocessor arm of
         # _dispatchable, inlined).
         entry = rm_heap.peek()
         if entry is not None:
@@ -700,16 +720,8 @@ class ReservationScheduler(Scheduler):
                 state = thread.state
                 if cpu is None:
                     dispatchable = state is ready or state is running
-                elif state is ready:
-                    # eligible_on, inlined for the per-round hot path.
-                    affinity = thread.affinity
-                    if affinity is not None:
-                        dispatchable = affinity == cpu
-                    else:
-                        assigned = self._placement_map.get(tid)
-                        dispatchable = assigned is None or assigned == cpu
                 else:
-                    dispatchable = False
+                    dispatchable = self._dispatchable(thread, cpu)
                 if dispatchable:
                     # Fresh window for time_slice / remaining_us, exactly
                     # as the per-pick scan advanced every candidate
@@ -718,12 +730,10 @@ class ReservationScheduler(Scheduler):
                     if now - reservation.period_start >= reservation.period_us:
                         self._advance(tid, reservation, now)
                     return thread
-        # Walk past ineligible entries (typically threads claimed by
-        # lower-numbered CPUs this round) without mutating the heap:
-        # the sorted live snapshot is exactly the pop order, and every
-        # entry stays live either way — an ineligible thread may be
-        # eligible for the next CPU's pick, and the chosen one keeps
-        # its rate-monotonic position for future picks.
+        # Walk past ineligible entries without mutating the heap: the
+        # sorted live snapshot is exactly the pop order, and every
+        # entry stays live either way, so the chosen one keeps its
+        # rate-monotonic position for future picks.
         for entry in rm_heap.live_sorted():
             tid = entry[-1]
             thread = run_queue.get(tid)
@@ -734,16 +744,78 @@ class ReservationScheduler(Scheduler):
                 if now - reservation.period_start >= reservation.period_us:
                     self._advance(tid, reservation, now)
                 return thread
+        return self._pick_best_effort(cpu)
+
+    def pick_round(
+        self, cpus: Sequence[int], now: int
+    ) -> list[Optional[SimThread]]:
+        """One fused SMP round: the picks of :meth:`Scheduler.pick_round`'s
+        sequential loop, from one placement, one queue service and one
+        walk of the rate-monotonic order.
+
+        Each READY entry, in rate-monotonic order, goes to the CPU it
+        may run on (its affinity, else its placement) if that CPU is
+        online and still unfilled; an entry placement did not see goes
+        to the lowest unfilled CPU.  CPUs left unfilled then take
+        best-effort picks in CPU order, advancing the round-robin
+        cursor exactly as the sequential picks do.  Why this equals the
+        sequential picks is argued in ``docs/ARCHITECTURE.md`` ("The SMP
+        round").
+        """
+        placement = self.place_threads(now)
+        self._service_queues(now, mark_wanted=True)
+        picks: list[Optional[SimThread]] = [None] * len(cpus)
+        unfilled = len(picks)
+        running = ThreadState.RUNNING
+        if self._rm_heap:
+            ready = ThreadState.READY
+            run_queue = self._run_queue
+            reservations = self._reservations
+            slot_of = {cpu: slot for slot, cpu in enumerate(cpus)}
+            for entry in self._rm_heap.live_sorted():
+                tid = entry[-1]
+                thread = run_queue.get(tid)
+                if thread is None or thread.state is not ready:
+                    continue
+                cpu = thread.affinity
+                if cpu is None:
+                    cpu = placement.get(tid)
+                if cpu is None:
+                    slot = picks.index(None)
+                else:
+                    slot = slot_of.get(cpu, -1)
+                    if slot < 0 or picks[slot] is not None:
+                        continue
+                reservation = reservations[tid]
+                if now - reservation.period_start >= reservation.period_us:
+                    self._advance(tid, reservation, now)
+                thread.state = running
+                picks[slot] = thread
+                unfilled -= 1
+                if not unfilled:
+                    return picks
+        if self._best_effort:
+            for slot, cpu in enumerate(cpus):
+                if picks[slot] is None:
+                    thread = self._pick_best_effort(cpu)
+                    if thread is not None:
+                        thread.state = running
+                        picks[slot] = thread
+        return picks
+
+    def _pick_best_effort(self, cpu: Optional[int]) -> Optional[SimThread]:
+        """Round-robin over the dispatchable best-effort threads, for
+        basic fairness (``None`` when there are none)."""
         best_effort = self._best_effort
-        if best_effort:
-            candidates = [
-                t for t in best_effort.values() if self._dispatchable(t, cpu)
-            ]
-            if candidates:
-                # Round-robin over best-effort threads for basic fairness.
-                self._best_effort_cursor += 1
-                return candidates[self._best_effort_cursor % len(candidates)]
-        return None
+        if not best_effort:
+            return None
+        candidates = [
+            t for t in best_effort.values() if self._dispatchable(t, cpu)
+        ]
+        if not candidates:
+            return None
+        self._best_effort_cursor += 1
+        return candidates[self._best_effort_cursor % len(candidates)]
 
     def _dispatchable(self, thread: SimThread, cpu: Optional[int]) -> bool:
         """One predicate for every pick path: may ``thread`` be

@@ -20,11 +20,11 @@ The paper's prototype is single-CPU; ``Kernel(scheduler, n_cpus=N)``
 generalises it to a homogeneous SMP.  The simulation stays a
 deterministic discrete-event system by executing *dispatch rounds*:
 
-1. At round start (virtual time ``t0``) all due events fire, then the
-   scheduler's placement policy maps runnable threads to CPUs and each
-   CPU picks at most one thread (:meth:`Scheduler.pick_next_cpu`,
-   in CPU-index order — a thread claimed by a lower-numbered CPU is
-   invisible to higher ones).
+1. At round start (virtual time ``t0``) all due events fire, then one
+   :meth:`Scheduler.pick_round` call places the runnable threads and
+   gives each online CPU at most one thread, claimed as it is picked.
+   Its picks are those of per-CPU picks in CPU-index order, where a
+   thread claimed by a lower-numbered CPU is invisible to higher ones.
 2. Every picked thread runs a slice *in parallel over the same wall
    window* ``[t0, h)``, where ``h`` is capped by the slice lengths, the
    next pending event and the end of the run.  Internally the CPUs'
@@ -766,31 +766,27 @@ class Kernel:
     # SMP dispatch rounds
     # ------------------------------------------------------------------
     def _dispatch_round(self, t_end: int) -> bool:
-        """Run one parallel dispatch window; ``False`` if nothing ran."""
+        """Run one parallel dispatch window, its picks made by one
+        :meth:`Scheduler.pick_round` call; ``False`` if nothing ran."""
         t0 = self.clock.now
-        scheduler = self.scheduler
-        scheduler.place_threads(t0)
-        picks: list[tuple[CPUState, SimThread]] = []
-        idle_cpus: list[CPUState] = []
-        for cpu in self._online_states:
-            thread = scheduler.pick_next_cpu(cpu.index, t0)
-            if thread is None:
-                idle_cpus.append(cpu)
-                continue
-            # Claim immediately so higher-numbered CPUs cannot pick the
-            # same thread within this round.
-            thread.state = ThreadState.RUNNING
-            picks.append((cpu, thread))
-        if not picks:
+        online = self._online_states
+        # One call places, picks and claims for every online CPU.
+        picked = self.scheduler.pick_round(self._online_indices, t0)
+        if picked.count(None) == len(picked):
             return False
         # All CPUs share one window cap, computed before any slice runs,
         # so the round is symmetric across CPUs: events scheduled by one
         # CPU's slice become visible at the next round boundary.
         next_event = self.events.next_time()
         window_cap = t_end if next_event is None else min(next_event, t_end)
+        # Each online CPU's local end time; a CPU that picked nothing
+        # ends where the window starts.
         ends: list[int] = []
         window_end = t0
-        for cpu, thread in picks:
+        for cpu, thread in zip(online, picked):
+            if thread is None:
+                ends.append(t0)
+                continue
             self._now_override = t0
             self._dispatch(cpu, thread, t_end, window_cap=window_cap)
             end = self._now_override
@@ -804,15 +800,10 @@ class Kernel:
         # window (timer-quantised re-dispatch, as on the real hardware);
         # CPUs that picked nothing idle the whole window.
         idle_total = self._idle_us_total
-        for (cpu, _), end in zip(picks, ends):
+        for cpu, end in zip(online, ends):
             if end < window_end:
                 cpu.idle_us += window_end - end
                 idle_total += window_end - end
-        if idle_cpus:
-            span = window_end - t0
-            for cpu in idle_cpus:
-                cpu.idle_us += span
-            idle_total += span * len(idle_cpus)
         self._idle_us_total = idle_total
         offline = self._offline_states
         if offline:

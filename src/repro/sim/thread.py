@@ -258,11 +258,6 @@ class SimThread:
         self._set_current(request)
 
     @property
-    def has_pending_work(self) -> bool:
-        """Whether the thread currently has an unfinished request."""
-        return self._current_request is not None
-
-    @property
     def remaining_compute_us(self) -> int:
         """Microseconds left in the current compute burst (0 if none)."""
         return self._remaining_compute_us

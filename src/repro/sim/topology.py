@@ -34,8 +34,6 @@ or branch on mutable state.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 #: Migration-distance classes returned by :meth:`CpuTopology.distance_class`.
 SAME_CPU = 0
 SMT_SIBLING = 1
@@ -199,16 +197,6 @@ class CpuTopology:
                 f"socket {socket} outside topology {self.spec()}"
             )
         return self._socket_cpus[socket]
-
-    def cpus_of_core(self, core: int) -> tuple[int, ...]:
-        """CPU indices of global core ``core``, ascending."""
-        if not 0 <= core < len(self._siblings):
-            raise ValueError(f"core {core} outside topology {self.spec()}")
-        return self._siblings[core]
-
-    def iter_cores(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """Yield ``(global core id, its CPU indices)`` in core order."""
-        return iter(enumerate(self._siblings))
 
     # ------------------------------------------------------------------
     # migration cost
